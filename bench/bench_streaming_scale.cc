@@ -3,7 +3,7 @@
 //
 // The engine pulls requests from the generator on demand, retires finished
 // requests incrementally, and skips the per-iteration log, so the resident
-// request count stays bounded by max_active_requests + arrival_horizon
+// request count stays bounded by tick.max_active + arrival_horizon
 // (plus a short retirement tail) no matter how long the trace is — the run
 // never materializes the trace. (Metrics retain two scalar samples per
 // finished request for percentiles; that is the only per-request state.)
@@ -41,7 +41,7 @@ void Run(size_t num_requests) {
   auto stream = MakeMmppStream(ScaleCategories(exp), config);
 
   EngineConfig engine;
-  engine.max_active_requests = 256;
+  engine.tick.max_active = 256;
   engine.arrival_horizon = 256;
   engine.retire_finished = true;
   engine.record_iterations = false;
@@ -54,7 +54,7 @@ void Run(size_t num_requests) {
   // Queue <= active + horizon, active <= cap, plus a short-lived tail of
   // finished requests awaiting in-order retirement.
   const size_t residency_bound =
-      static_cast<size_t>(engine.arrival_horizon + 4 * engine.max_active_requests);
+      static_cast<size_t>(engine.arrival_horizon + 4 * engine.tick.max_active);
   TablePrinter table({"metric", "value"});
   table.AddRow({"requests emitted", std::to_string(stream->emitted())});
   table.AddRow({"requests finished", std::to_string(result.metrics.finished)});

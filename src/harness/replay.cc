@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/workload/categories.h"
 
 namespace adaserve {
 namespace {
@@ -119,6 +120,23 @@ bool ReadKeyedBool(LineReader& in, const std::string& key, bool* out, std::strin
   return true;
 }
 
+// The first field of a parsed arrival that no arrival source could have
+// produced, or null when it is servable. The floors are the ones every
+// source delivers: TraceFileArrivalStream's (positive prompt and SLO, a
+// category in the table, nonnegative nondecreasing times) plus the
+// two-token output minimum it and the generators clamp to — a one-token
+// request has no TPOT and aborts the metrics. Ids must equal the
+// arrival's position, the pool's dense-id rule.
+const char* InvalidArrivalField(const Request& a, long index, SimTime previous_arrival) {
+  if (a.id != index) return "id (ids must be dense from 0)";
+  if (a.category < 0 || a.category >= kNumCategories) return "category";
+  if (!(a.tpot_slo > 0.0)) return "tpot_slo";
+  if (!(a.arrival >= previous_arrival)) return "arrival (times must be nondecreasing from 0)";
+  if (a.prompt_len < 1) return "prompt_len";
+  if (a.target_output_len < 2) return "target_output_len";
+  return nullptr;
+}
+
 // Splits a data line ("a ..."/"t ...") into whitespace-separated tokens.
 std::vector<std::string> SplitFields(const std::string& line) {
   std::vector<std::string> fields;
@@ -193,7 +211,6 @@ std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
              : -1)
      << "\n";
   os << "tick.event_driven: " << (e.tick.event_driven ? 1 : 0) << "\n";
-  os << "tick.async_planner: " << (e.tick.async_planner ? 1 : 0) << "\n";
   os << "verify_budget: " << artifact.verify_budget << "\n";
   os << "draft_budget: " << artifact.draft_budget << "\n";
 
@@ -212,7 +229,7 @@ std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
        << FmtDouble(r.verify_time) << " " << FmtDouble(r.prefill_time) << " " << r.prefill_tokens
        << " " << r.decode_requests << " " << r.verified_tokens << " " << r.committed_tokens << " "
        << r.admitted << " " << r.evicted << " " << r.paused << " " << r.rejected << " "
-       << r.degraded << " " << t.arrivals_pulled << " " << t.plan_hit << "\n";
+       << r.degraded << " " << t.arrivals_pulled << "\n";
   }
 
   // The metrics block is recorded verbatim (line count + raw lines), so
@@ -247,11 +264,17 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
   }
   out.schema = static_cast<int>(schema);
 
-  if (!ReadKeyed(in, "system", &out.system, error) ||
-      !ReadKeyed(in, "setup", &out.setup_id, error) ||
-      !ReadKeyed(in, "label", &out.label, error)) {
+  if (!ReadKeyed(in, "system", &out.system, error)) return false;
+  if (!SystemKindFromName(out.system).has_value()) {
+    SetError(error, in.line_no, "unknown system '" + out.system + "'");
     return false;
   }
+  if (!ReadKeyed(in, "setup", &out.setup_id, error)) return false;
+  if (!ReplaySetupById(out.setup_id).has_value()) {
+    SetError(error, in.line_no, "unknown setup '" + out.setup_id + "'");
+    return false;
+  }
+  if (!ReadKeyed(in, "label", &out.label, error)) return false;
 
   EngineConfig& e = out.engine;
   int mode = 0;
@@ -287,7 +310,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
   e.tick.admission_priority =
       priority < 0 ? std::nullopt : std::optional<PriorityPolicy>(static_cast<PriorityPolicy>(priority));
   if (!ReadKeyedBool(in, "tick.event_driven", &e.tick.event_driven, error)) return false;
-  if (!ReadKeyedBool(in, "tick.async_planner", &e.tick.async_planner, error)) return false;
   if (!ReadKeyedInt(in, "verify_budget", &out.verify_budget, error)) return false;
   if (!ReadKeyedInt(in, "draft_budget", &out.draft_budget, error)) return false;
 
@@ -326,6 +348,11 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
     a.prompt_len = static_cast<int>(prompt);
     a.target_output_len = static_cast<int>(target);
     a.stream_seed = seed;
+    const SimTime previous = out.arrivals.empty() ? 0.0 : out.arrivals.back().arrival;
+    if (const char* bad = InvalidArrivalField(a, i, previous)) {
+      SetError(error, in.line_no, std::string("bad arrival ") + bad + " in '" + line + "'");
+      return false;
+    }
     out.arrivals.push_back(a);
   }
 
@@ -342,7 +369,7 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
       return false;
     }
     const std::vector<std::string> f = SplitFields(line);
-    if (f.size() != 19 || f[0] != "t") {
+    if (f.size() != 18 || f[0] != "t") {
       SetError(error, in.line_no, "bad tick line '" + line + "'");
       return false;
     }
@@ -350,7 +377,7 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
     IterationRecord& r = t.record;
     long prefill_tokens = 0, decode_requests = 0, verified = 0, committed = 0;
     long admitted = 0, evicted = 0, paused = 0, rejected = 0, degraded = 0;
-    long pulled = 0, plan_hit = 0;
+    long pulled = 0;
     if (!ParseLong(f[1], &t.index) || !ParseF64(f[2], &t.start) || !ParseF64(f[3], &r.duration) ||
         !ParseF64(f[4], &r.spec_time) || !ParseF64(f[5], &r.select_time) ||
         !ParseF64(f[6], &r.verify_time) || !ParseF64(f[7], &r.prefill_time) ||
@@ -358,8 +385,7 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
         !ParseLong(f[10], &verified) || !ParseLong(f[11], &committed) ||
         !ParseLong(f[12], &admitted) || !ParseLong(f[13], &evicted) ||
         !ParseLong(f[14], &paused) || !ParseLong(f[15], &rejected) ||
-        !ParseLong(f[16], &degraded) || !ParseLong(f[17], &pulled) ||
-        !ParseLong(f[18], &plan_hit)) {
+        !ParseLong(f[16], &degraded) || !ParseLong(f[17], &pulled)) {
       SetError(error, in.line_no, "bad tick field in '" + line + "'");
       return false;
     }
@@ -373,7 +399,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
     r.rejected = static_cast<int>(rejected);
     r.degraded = static_cast<int>(degraded);
     t.arrivals_pulled = static_cast<int>(pulled);
-    t.plan_hit = static_cast<int>(plan_hit);
     out.ticks.push_back(t);
   }
 
@@ -584,7 +609,6 @@ std::optional<ReplayDivergence> DiffTick(const TickTraceEvent& want, const TickT
   if (auto d = check_long("record.rejected", w.rejected, g.rejected)) return d;
   if (auto d = check_long("record.degraded", w.degraded, g.degraded)) return d;
   if (auto d = check_long("arrivals_pulled", want.arrivals_pulled, got.arrivals_pulled)) return d;
-  if (auto d = check_long("plan_hit", want.plan_hit, got.plan_hit)) return d;
   return std::nullopt;
 }
 

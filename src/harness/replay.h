@@ -6,9 +6,9 @@
 // trace_sink: the engine streams every arrival it pulls (the full
 // immutable request, so the workload generator is not needed at replay
 // time) and every progressing tick (the scheduler's IterationRecord plus
-// per-tick arrival pulls and the async planner's verdict). The artifact
-// additionally pins the engine configuration, system, setup id, and the
-// run's canonical GoldenMetricsText fingerprint.
+// per-tick arrival pulls). The artifact additionally pins the engine
+// configuration, system, setup id, and the run's canonical
+// GoldenMetricsText fingerprint.
 //
 // Replaying rebuilds the experiment from the setup registry, feeds the
 // recorded arrivals back through a MaterializedStream, re-runs under a
@@ -21,7 +21,9 @@
 // N" header; key: value configuration; one "a ..." line per arrival and
 // one "t ..." line per tick with %.17g doubles so round trips are exact;
 // the metrics block; an "end" sentinel). The schema version bumps on any
-// field change — parsers reject unknown versions rather than guess.
+// field change — parsers reject unknown versions rather than guess — and
+// the parser also rejects artifacts that could not be replayed (unknown
+// system or setup, arrivals no arrival source could produce).
 #ifndef ADASERVE_SRC_HARNESS_REPLAY_H_
 #define ADASERVE_SRC_HARNESS_REPLAY_H_
 
@@ -37,7 +39,9 @@ namespace adaserve {
 
 // Bumped on any artifact field change; parsers reject other versions.
 // v2: tick lines carry the admission-control rejected/degraded counters.
-inline constexpr int kReplaySchemaVersion = 2;
+// v3: drops the async-planner header key and the 19th per-tick field
+//     (the planner's verdict) along with the planner itself.
+inline constexpr int kReplaySchemaVersion = 3;
 
 // A recorded run, self-contained up to the setup registry: everything
 // needed to re-execute and everything needed to check the re-execution.
@@ -84,8 +88,12 @@ class RunRecorder final : public TickTraceSink {
 
 std::string SerializeReplayArtifact(const ReplayArtifact& artifact);
 // Strict parse; false + line-numbered *error on malformed or
-// version-mismatched input. Round trip is exact:
-// Serialize(Parse(Serialize(a))) == Serialize(a).
+// version-mismatched input, and on an artifact ReplayRun could not serve:
+// an unknown system or setup id, or an arrival with a non-positive
+// prompt_len or tpot_slo, fewer than two output tokens, a category
+// outside [0, kNumCategories), a negative or decreasing arrival time, or
+// an id other than its position (ids are dense from 0). Round trip is
+// exact: Serialize(Parse(Serialize(a))) == Serialize(a).
 bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std::string* error);
 
 bool WriteReplayArtifact(const std::string& path, const ReplayArtifact& artifact,
@@ -164,8 +172,8 @@ struct ReplayOutcome {
 
 // Re-executes `artifact` from its recorded arrivals alone and verifies
 // the re-execution tick by tick. ADASERVE_CHECK-fails on an artifact
-// naming an unknown system or setup (a parse-time concern, not a
-// divergence).
+// naming an unknown system or setup (ParseReplayArtifact refuses those,
+// so only a hand-built in-memory artifact can get here with one).
 ReplayOutcome ReplayRun(const ReplayArtifact& artifact);
 
 }  // namespace adaserve

@@ -131,18 +131,6 @@ class RequestPool {
   // are excluded from attainment/throughput accounting.
   void Reject(RequestId id, SimTime now);
 
-  // Targeted admission: admits the specific queued request `id` (wherever
-  // it sits in the queue) if its worst-case footprint fits — no slot
-  // check; callers guarantee a free slot. The async tick planner applies
-  // a validated admission plan through this, preserving the plan's
-  // ranked order without re-running the ranker scan. Returns `id` on
-  // success, kInvalidRequestId if it is not queued or does not fit.
-  RequestId TryAdmitId(RequestId id);
-
-  // KV ledger backing this pool (read-only: the async planner snapshots
-  // free space and block size from it).
-  const KvCache& kv() const { return *kv_; }
-
   // Sum of context (KV) tokens across the given requests — the attention
   // read volume of one iteration.
   long SumContextTokens(const std::vector<RequestId>& ids) const;

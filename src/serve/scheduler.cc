@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "src/common/logging.h"
-#include "src/serve/tick_pipeline.h"
 #include "src/spec/verifier.h"
 
 namespace adaserve {
@@ -20,12 +19,10 @@ TickPolicy TickPolicy::ResolvedFor(const Scheduler& scheduler) const {
     }
   } else {
     // Boundary mode is the legacy drain loop, byte-for-byte: it admits
-    // FIFO, never evicts, and never plans ahead, regardless of the
-    // tick-native knobs — `continuous = false` alone must still mean
-    // "the historical engine".
+    // FIFO and never evicts, regardless of the tick-native knobs —
+    // `continuous = false` alone must still mean "the historical engine".
     resolved.admission_priority = PriorityPolicy::kFifo;
     resolved.max_evictions = 0;
-    resolved.async_planner = false;
   }
   return resolved;
 }
@@ -232,6 +229,10 @@ int MidTickAdmitPhase(SimTime now, RequestPool& pool, ServingContext& ctx) {
   return pool.AdmitUpTo(ctx.tick.max_active, PriorityRanker(ctx.tick.priority()));
 }
 
+namespace {
+
+// Token budget of the tick's prefill phase, given what phase A consumed:
+// the leftover verification budget, floored at one prefill burst.
 int PrefillPhaseBudget(const ServingContext& ctx, int decode_requests, int verified_tokens) {
   // Phase A's target-forward consumption is its batch roots plus every
   // token submitted to the verifier (committed tokens are drawn from the
@@ -242,6 +243,8 @@ int PrefillPhaseBudget(const ServingContext& ctx, int decode_requests, int verif
   const int floor = ctx.tick.prefill_burst > 0 ? ctx.tick.prefill_burst : kBurst;
   return std::max(leftover, floor);
 }
+
+}  // namespace
 
 IterationRecord RunBudgetedPrefillPhase(SimTime now, RequestPool& pool, ServingContext& ctx,
                                         int budget, int burst) {
@@ -311,14 +314,6 @@ TickResult RunContinuousTick(SimTime now, RequestPool& pool, ServingContext& ctx
   int paused = 0;
   const int admitted = TickAdmitPhase(now, pool, ctx, &evicted, &paused);
 
-  // Async pipeline: kick the planner off against the phase-A-start
-  // snapshot so the mid-tick admission ranking and the prefill chunk
-  // packing happen on the CPU while the decode phase "occupies the GPU".
-  TickPlanner* planner = ctx.tick.async_planner ? ctx.planner : nullptr;
-  if (planner != nullptr) {
-    planner->BeginPlan(PredictPlanInput(pool, ctx));
-  }
-
   // Phase A: decode — every running request advances this tick.
   TickResult tick;
   tick.record = decode_phase(now, pool, ctx);
@@ -330,21 +325,11 @@ TickResult RunContinuousTick(SimTime now, RequestPool& pool, ServingContext& ctx
 
   // Phases B and C — mid-tick admission (arrivals that landed while
   // phase A occupied the GPU join this very tick's prefill pass) and the
-  // burst-capped prefill on the leftover token budget. With the planner
-  // on, the precomputed plan is applied when reconciliation proves the
-  // phase-A-start prediction still describes the pool (byte-identity by
-  // construction); any drift — an unpredicted finish, a mid-tick
-  // arrival, a speculative decode — falls back to the serial phases.
+  // burst-capped prefill on the leftover token budget.
+  rec.admitted += MidTickAdmitPhase(phase_a_end, pool, ctx);
   const int budget = PrefillPhaseBudget(ctx, rec.decode_requests, rec.verified_tokens);
-  IterationRecord prefill;
-  bool plan_applied = false;
-  if (planner != nullptr) {
-    plan_applied = planner->Reconcile(phase_a_end, pool, ctx, budget, rec.admitted, prefill);
-  }
-  if (!plan_applied) {
-    rec.admitted += MidTickAdmitPhase(phase_a_end, pool, ctx);
-    prefill = RunBudgetedPrefillPhase(phase_a_end, pool, ctx, budget, ctx.tick.prefill_burst);
-  }
+  const IterationRecord prefill =
+      RunBudgetedPrefillPhase(phase_a_end, pool, ctx, budget, ctx.tick.prefill_burst);
   rec.duration += prefill.duration;
   rec.prefill_time += prefill.prefill_time;
   rec.prefill_tokens += prefill.prefill_tokens;

@@ -18,7 +18,8 @@ bool Request::Attained() const {
 }
 
 void Request::ReleasePayload() {
-  ADASERVE_CHECK(state == RequestState::kFinished) << "payload release on live request " << id;
+  ADASERVE_CHECK(state == RequestState::kFinished || state == RequestState::kRejected)
+      << "payload release on live request " << id;
   std::vector<Token>().swap(output);
   std::vector<SimTime>().swap(token_times);
 }

@@ -68,8 +68,9 @@ struct Request {
   long KvTokens() const { return prefill_progress + output_len(); }
 
   // Frees the per-token payload (output tokens, commit timestamps) of a
-  // finished request, keeping every metrics-relevant scalar. Streaming runs
-  // call this at finish so resident memory stays O(active requests).
+  // terminal (finished or rejected) request, keeping every
+  // metrics-relevant scalar. Streaming runs call this at finish and at
+  // rejection so resident memory stays O(active requests).
   void ReleasePayload();
 
   // Average time-per-output-token over the decode phase: the span from the

@@ -265,6 +265,29 @@ TEST_F(DeadlineBaselinesTest, UtilizationNeverExceedsTheBoundInAnyTick) {
   EXPECT_EQ(result.metrics.finished + result.metrics.rejections, 30);
 }
 
+TEST_F(DeadlineBaselinesTest, OverloadedStreamingRunRetiresRejectedRequests) {
+  // A streaming run frees each terminal request's payload as it goes.
+  // Rejection is terminal too, so an overloaded EDF+AC run must retire
+  // its rejected requests like its finished ones and end with the pool
+  // drained (Engine::Run checks the drain itself).
+  const double service_tps = DeriveServiceTps(exp_.target_latency());
+  const double slo = 4.0 / service_tps;
+  std::vector<Request> workload;
+  for (RequestId id = 0; id < 30; ++id) {
+    workload.push_back(SloRequest(id, slo, 0.001 * static_cast<double>(id)));
+  }
+  AdmissionControlConfig config;
+  config.utilization_bound = 1.0;
+  AdmissionControlScheduler scheduler(config);
+  EngineConfig engine;
+  engine.retire_finished = true;
+  const EngineResult result = exp_.Run(scheduler, workload, engine);
+  EXPECT_GT(result.metrics.rejections, 0) << "a 7.5x overload must refuse work";
+  EXPECT_GT(result.metrics.finished, 0);
+  EXPECT_EQ(result.metrics.finished + result.metrics.rejections, 30);
+  EXPECT_TRUE(result.requests.empty()) << "streaming runs keep no request records";
+}
+
 TEST_F(DeadlineBaselinesTest, BoundaryModeIsPlainEdf) {
   // Boundary mode is defined as the legacy drain loop: the controller
   // stands down, so EDF+AC and EDF are byte-identical there.

@@ -120,7 +120,7 @@ TEST_F(EngineTest, BurstyBackpressureNeverExceedsAdmissionCapOrDropsRequests) {
   auto stream = MakeMmppStream(TinyCategories(exp_), config);
 
   EngineConfig engine;
-  engine.max_active_requests = 8;
+  engine.tick.max_active = 8;
   engine.arrival_horizon = 16;
   engine.retire_finished = true;
   VllmScheduler scheduler;
@@ -131,13 +131,13 @@ TEST_F(EngineTest, BurstyBackpressureNeverExceedsAdmissionCapOrDropsRequests) {
   EXPECT_GT(result.metrics.finished, 300) << "burst too small to stress admission";
   // Admission never exceeds the cap.
   for (const IterationRecord& rec : result.iterations) {
-    EXPECT_LE(rec.decode_requests, engine.max_active_requests);
+    EXPECT_LE(rec.decode_requests, engine.tick.max_active);
   }
   // Residency stays near cap + horizon even though arrivals outpace
   // service by ~50x during bursts: queue <= cap + horizon, active <= cap,
   // plus a short-lived tail of finished requests awaiting retirement.
   EXPECT_LE(result.peak_resident_requests,
-            static_cast<size_t>(engine.arrival_horizon + 4 * engine.max_active_requests));
+            static_cast<size_t>(engine.arrival_horizon + 4 * engine.tick.max_active));
 }
 
 TEST_F(EngineTest, SmokeScale100kPeakResidencyStaysNearActiveSet) {
@@ -151,7 +151,7 @@ TEST_F(EngineTest, SmokeScale100kPeakResidencyStaysNearActiveSet) {
   auto stream = MakeChurnStream(TinyCategories(exp_), config);
 
   EngineConfig engine;
-  engine.max_active_requests = 64;
+  engine.tick.max_active = 64;
   engine.arrival_horizon = 64;
   engine.retire_finished = true;
   engine.record_iterations = false;
@@ -162,7 +162,7 @@ TEST_F(EngineTest, SmokeScale100kPeakResidencyStaysNearActiveSet) {
   EXPECT_GT(result.total_iterations, 0);
   EXPECT_TRUE(result.requests.empty());
   const size_t bound =
-      static_cast<size_t>(engine.arrival_horizon + 4 * engine.max_active_requests);
+      static_cast<size_t>(engine.arrival_horizon + 4 * engine.tick.max_active);
   EXPECT_LE(result.peak_resident_requests, bound)
       << "peak residency is O(trace), not O(active)";
 }

@@ -1,9 +1,10 @@
 // Record/replay determinism suite: for every MainComparisonSet system the
 // recorded artifact of a run must re-execute byte-identically
-// (GoldenMetricsText) in tick-native mode, under the async tick pipeline,
-// and for every replica of a 2-replica cluster run; artifact
-// serialization round-trips exactly; and an injected single-bit
-// corruption is detected with the correct first-divergent-tick.
+// (GoldenMetricsText) in tick-native mode, on the streaming path, and for
+// every replica of a 2-replica cluster run; artifact serialization
+// round-trips exactly; an injected single-bit corruption is detected with
+// the correct first-divergent-tick; and an artifact that could not be
+// replayed is refused at parse time, one case per rejected field.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -53,29 +54,6 @@ TEST_P(ReplayDeterminismTest, StreamingRecordReplayByteIdentical) {
   const RecordedRun run =
       RecordGoldenRun(*exp_, kind, {}, GoldenScenario::kFlashCrowd, GoldenMode::kTickNative);
   ASSERT_GT(run.result.metrics.finished, 0);
-  const ReplayOutcome outcome = ReplayRun(run.artifact);
-  ASSERT_TRUE(outcome.ok) << outcome.divergence->Summary();
-  EXPECT_EQ(outcome.metrics_text, run.artifact.metrics_text);
-}
-
-TEST_P(ReplayDeterminismTest, AsyncPipelineRecordReplayByteIdentical) {
-  const SystemKind kind = GetParam();
-  EngineConfig engine = AsyncTickConfig();
-  engine.sampling_seed = GoldenConfig{}.sampling_seed;
-  const RecordedRun run =
-      RecordRun(*exp_, kind, GoldenWorkload(*exp_), engine, "golden", "async");
-  ASSERT_GT(run.result.metrics.finished, 0);
-  // The async planner actually planned (and its verdicts were traced).
-  ASSERT_GT(run.result.planned_ticks, 0);
-  bool traced_verdict = false;
-  for (const TickTraceEvent& tick : run.artifact.ticks) {
-    if (tick.plan_hit >= 0) {
-      traced_verdict = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(traced_verdict);
-
   const ReplayOutcome outcome = ReplayRun(run.artifact);
   ASSERT_TRUE(outcome.ok) << outcome.divergence->Summary();
   EXPECT_EQ(outcome.metrics_text, run.artifact.metrics_text);
@@ -193,6 +171,97 @@ TEST(ReplayCorruptionTest, CorruptedArrivalDiverges) {
   const ReplayOutcome outcome = ReplayRun(corrupted);
   ASSERT_FALSE(outcome.ok);
   ASSERT_TRUE(outcome.divergence.has_value());
+}
+
+// Parse-time validation: each case corrupts one field of a recorded
+// artifact and expects ParseReplayArtifact to refuse it with an error
+// naming that field, instead of ReplayRun aborting on it later.
+class ReplayValidationTest : public testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    const Experiment exp(GoldenSetup());
+    recorded_ = new ReplayArtifact(RecordGoldenRun(exp, SystemKind::kVllm).artifact);
+  }
+  static void TearDownTestSuite() {
+    delete recorded_;
+    recorded_ = nullptr;
+  }
+
+  void SetUp() override { ASSERT_GE(recorded_->arrivals.size(), 3u); }
+
+  // Serializes `artifact`, expects the parse to fail, returns the error.
+  static std::string ParseError(const ReplayArtifact& artifact) {
+    ReplayArtifact parsed;
+    std::string error;
+    EXPECT_FALSE(ParseReplayArtifact(SerializeReplayArtifact(artifact), &parsed, &error));
+    EXPECT_FALSE(error.empty());
+    return error;
+  }
+
+  static ReplayArtifact* recorded_;
+};
+
+ReplayArtifact* ReplayValidationTest::recorded_ = nullptr;
+
+TEST_F(ReplayValidationTest, RejectsUnknownSystem) {
+  ReplayArtifact artifact = *recorded_;
+  artifact.system = "NoSuchSystem";
+  const std::string error = ParseError(artifact);
+  EXPECT_NE(error.find("unknown system 'NoSuchSystem'"), std::string::npos) << error;
+}
+
+TEST_F(ReplayValidationTest, RejectsUnknownSetup) {
+  ReplayArtifact artifact = *recorded_;
+  artifact.setup_id = "no_such_setup";
+  const std::string error = ParseError(artifact);
+  EXPECT_NE(error.find("unknown setup 'no_such_setup'"), std::string::npos) << error;
+}
+
+TEST_F(ReplayValidationTest, RejectsNonPositivePromptLen) {
+  ReplayArtifact artifact = *recorded_;
+  artifact.arrivals[1].prompt_len = 0;
+  const std::string error = ParseError(artifact);
+  EXPECT_NE(error.find("bad arrival prompt_len"), std::string::npos) << error;
+}
+
+// Non-positive, and also 1: a one-token request has no TPOT.
+TEST_F(ReplayValidationTest, RejectsTargetOutputLenBelowTwo) {
+  for (const int target : {0, 1}) {
+    ReplayArtifact artifact = *recorded_;
+    artifact.arrivals[1].target_output_len = target;
+    const std::string error = ParseError(artifact);
+    EXPECT_NE(error.find("bad arrival target_output_len"), std::string::npos) << error;
+  }
+}
+
+TEST_F(ReplayValidationTest, RejectsNonPositiveTpotSlo) {
+  ReplayArtifact artifact = *recorded_;
+  artifact.arrivals[1].tpot_slo = 0.0;
+  const std::string error = ParseError(artifact);
+  EXPECT_NE(error.find("bad arrival tpot_slo"), std::string::npos) << error;
+}
+
+TEST_F(ReplayValidationTest, RejectsCategoryOutsideTheTable) {
+  for (const int category : {-1, kNumCategories}) {
+    ReplayArtifact artifact = *recorded_;
+    artifact.arrivals[1].category = category;
+    const std::string error = ParseError(artifact);
+    EXPECT_NE(error.find("bad arrival category"), std::string::npos) << error;
+  }
+}
+
+TEST_F(ReplayValidationTest, RejectsDecreasingArrivalTimes) {
+  ReplayArtifact artifact = *recorded_;
+  artifact.arrivals[1].arrival = artifact.arrivals[2].arrival + 1.0;
+  const std::string error = ParseError(artifact);
+  EXPECT_NE(error.find("bad arrival arrival"), std::string::npos) << error;
+}
+
+TEST_F(ReplayValidationTest, RejectsNonDenseIds) {
+  ReplayArtifact artifact = *recorded_;
+  artifact.arrivals[1].id = 5;
+  const std::string error = ParseError(artifact);
+  EXPECT_NE(error.find("bad arrival id"), std::string::npos) << error;
 }
 
 }  // namespace
