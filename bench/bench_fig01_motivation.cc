@@ -13,7 +13,7 @@
 namespace adaserve {
 namespace {
 
-// --admission: ablation of the tick-native admission-priority knob under
+// --admission: ablation of the tick's admission-priority knob under
 // KV pressure. One continuous-batching scheduler (vLLM), one bursty
 // urgent-heavy arrival process, three policies:
 //   fifo          — arrival-order admission, recompute eviction

@@ -6,12 +6,14 @@
 // breakdown).
 //
 //   ./build/adaserve_sim --system=adaserve --model=llama --rps=4.0 --duration=40 --mix=0.6,0.2,0.2 --requests-csv=requests.csv --iterations-csv=iterations.csv
-#include <cstdio>
-#include <cstring>
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "src/adaserve.h"
 
@@ -46,36 +48,70 @@ void PrintUsage() {
       "  --iterations-csv=F  write per-iteration breakdown to F\n";
 }
 
+// Parses all of `text` with std::from_chars — locale-independent, and a
+// value with trailing characters is rejected instead of truncated.
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+bool ParsePositive(std::string_view text, double* out) {
+  return ParseWhole(text, out) && std::isfinite(*out) && *out > 0.0;
+}
+
+// Three comma-separated non-negative weights summing to 1 within the
+// workload generator's tolerance.
+bool ParseMix(std::string_view text, std::array<double, kNumCategories>* mix) {
+  double sum = 0.0;
+  for (size_t c = 0; c < mix->size(); ++c) {
+    const bool last = c + 1 == mix->size();
+    const size_t comma = last ? text.size() : text.find(',');
+    double& weight = (*mix)[c];
+    if (comma == std::string_view::npos || !ParseWhole(text.substr(0, comma), &weight) ||
+        !std::isfinite(weight) || weight < 0.0) {
+      return false;
+    }
+    sum += weight;
+    if (!last) {
+      text.remove_prefix(comma + 1);
+    }
+  }
+  return std::abs(sum - 1.0) < 1e-6;
+}
+
 bool ParseArgs(int argc, char** argv, Options& opts) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&arg]() { return arg.substr(arg.find('=') + 1); };
+    const std::string_view value = std::string_view(arg).substr(arg.find('=') + 1);
+    bool valid = true;
     if (arg == "--help" || arg == "-h") {
       return false;
     } else if (arg.starts_with("--system=")) {
-      opts.system = value();
+      opts.system = value;
     } else if (arg.starts_with("--model=")) {
-      opts.model = value();
+      opts.model = value;
     } else if (arg.starts_with("--rps=")) {
-      opts.rps = std::atof(value().c_str());
+      valid = ParsePositive(value, &opts.rps);
     } else if (arg.starts_with("--duration=")) {
-      opts.duration = std::atof(value().c_str());
+      valid = ParsePositive(value, &opts.duration);
     } else if (arg.starts_with("--seed=")) {
-      opts.seed = std::strtoull(value().c_str(), nullptr, 10);
+      valid = ParseWhole(value, &opts.seed);
     } else if (arg == "--greedy") {
       opts.greedy = true;
     } else if (arg.starts_with("--mix=")) {
-      const std::string v = value();
-      if (std::sscanf(v.c_str(), "%lf,%lf,%lf", &opts.mix[0], &opts.mix[1], &opts.mix[2]) != 3) {
-        std::cerr << "bad --mix: " << v << "\n";
-        return false;
-      }
+      valid = ParseMix(value, &opts.mix);
     } else if (arg.starts_with("--requests-csv=")) {
-      opts.requests_csv = value();
+      opts.requests_csv = value;
     } else if (arg.starts_with("--iterations-csv=")) {
-      opts.iterations_csv = value();
+      opts.iterations_csv = value;
     } else {
       std::cerr << "unknown option: " << arg << "\n";
+      return false;
+    }
+    if (!valid) {
+      std::cerr << "invalid " << arg.substr(0, arg.find('=')) << ": " << value << "\n";
       return false;
     }
   }

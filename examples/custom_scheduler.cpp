@@ -13,33 +13,25 @@ namespace {
 
 using namespace adaserve;
 
-// Round-robin: each iteration decodes a rotating window of at most
+// Round-robin: each tick decodes a rotating window of at most
 // `window` running requests — fair, SLO-blind, and batch-capped. A custom
-// scheduler implements the two tick-phase hooks; the base class supplies
-// the tick protocol (admission, and in tick-native mode the mid-tick
-// admission + burst-capped prefill phases) around them.
+// scheduler implements one hook, DecodePhase; the base class supplies the
+// rest of the tick (boundary and mid-tick admission, burst-capped prefill)
+// around it.
 class RoundRobinScheduler : public Scheduler {
  public:
   explicit RoundRobinScheduler(int window) : window_(window) {}
 
   std::string_view name() const override { return "RoundRobin"; }
 
-  // Optional third hook: the admission-priority default for tick-native
-  // runs. Declaring kSloUrgentFirst makes urgent-category arrivals jump
-  // the admission queue (TickPolicy::admission_priority overrides it).
+  // Optional second hook: the admission-priority default. Declaring
+  // kSloUrgentFirst makes urgent-category arrivals jump the admission
+  // queue (TickPolicy::admission_priority overrides it).
   PriorityPolicy AdmissionPriority() const override {
     return PriorityPolicy::kSloUrgentFirst;
   }
 
  protected:
-  IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override {
-    IterationRecord record;
-    if (RunFullPrefillIteration(now, pool, ctx, /*max_prefill_tokens=*/4096, record)) {
-      return record;
-    }
-    return DecodePhase(now, pool, ctx);
-  }
-
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override {
     std::vector<RequestId> running = RunningRequests(pool);
     if (running.empty()) {

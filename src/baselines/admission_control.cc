@@ -73,11 +73,6 @@ void AdmissionControlScheduler::ControlPass(SimTime now, RequestPool& pool, int*
 }
 
 TickResult AdmissionControlScheduler::Tick(SimTime now, RequestPool& pool, ServingContext& ctx) {
-  if (!ctx.tick.continuous) {
-    // Boundary mode is defined as the legacy drain loop; the controller
-    // is a tick-native system, so boundary runs are plain EDF.
-    return EdfScheduler::Tick(now, pool, ctx);
-  }
   if (service_tps_ <= 0.0) {
     service_tps_ = DeriveServiceTps(*ctx.target_latency);
   }

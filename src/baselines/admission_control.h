@@ -15,9 +15,7 @@
 // Metrics::rejections). Accepted requests release their utilization when
 // they finish.
 //
-// The controller runs only in tick-native (continuous) mode: boundary mode
-// is defined as the legacy drain loop and stays plain EDF. Like VTC, the
-// scheduler is stateful — use one instance per run.
+// Like VTC, the scheduler is stateful — use one instance per run.
 #ifndef ADASERVE_SRC_BASELINES_ADMISSION_CONTROL_H_
 #define ADASERVE_SRC_BASELINES_ADMISSION_CONTROL_H_
 
@@ -36,15 +34,12 @@ struct AdmissionControlConfig {
   // A degraded SLO may grow to at most this multiple of the original;
   // candidates needing more are rejected.
   double max_degrade_factor = 4.0;
-  // Boundary-mode prefill cap (passes through to the EDF base).
-  int max_prefill_tokens = 4096;
 };
 
 class AdmissionControlScheduler : public EdfScheduler {
  public:
   explicit AdmissionControlScheduler(const AdmissionControlConfig& config = {})
-      : EdfScheduler(EdfConfig{.max_prefill_tokens = config.max_prefill_tokens}),
-        config_(config) {}
+      : config_(config) {}
 
   std::string_view name() const override { return "EDF+AC"; }
 

@@ -49,14 +49,6 @@ std::vector<RequestId> EdfDecodeBatch(SimTime now, const RequestPool& pool,
   return running;
 }
 
-IterationRecord EdfScheduler::DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) {
-  IterationRecord record;
-  if (RunFullPrefillIteration(now, pool, ctx, config_.max_prefill_tokens, record)) {
-    return record;
-  }
-  return DecodePhase(now, pool, ctx);
-}
-
 IterationRecord EdfScheduler::DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) {
   return RunDecodeIteration(now, pool, ctx, EdfDecodeBatch(now, pool, ctx));
 }

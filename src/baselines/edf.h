@@ -18,11 +18,6 @@
 
 namespace adaserve {
 
-struct EdfConfig {
-  // Cap on tokens batched into one boundary-mode prefill iteration.
-  int max_prefill_tokens = 4096;
-};
-
 // Picks the EDF decode batch at `now`: the running requests sorted by
 // (NextTokenDeadline, id), truncated to the largest prefix whose batched
 // forward latency still meets the prefix's earliest not-yet-overdue
@@ -35,21 +30,15 @@ std::vector<RequestId> EdfDecodeBatch(SimTime now, const RequestPool& pool,
 
 class EdfScheduler : public Scheduler {
  public:
-  explicit EdfScheduler(const EdfConfig& config = {}) : config_(config) {}
-
   std::string_view name() const override { return "EDF"; }
 
-  // Deadline order extends to tick-native admission and the pause/evict
-  // machinery: the queue head is the earliest deadline, and victims are
+  // Deadline order extends to admission and the pause/evict machinery:
+  // the queue head is the earliest deadline, and victims are
   // latest-deadline prefilling requests.
   PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kEdf; }
 
  protected:
-  IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override;
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;
-
- private:
-  EdfConfig config_;
 };
 
 }  // namespace adaserve

@@ -4,15 +4,6 @@
 
 namespace adaserve {
 
-IterationRecord FastServeScheduler::DrainStep(SimTime now, RequestPool& pool,
-                                              ServingContext& ctx) {
-  IterationRecord record;
-  if (RunFullPrefillIteration(now, pool, ctx, config_.max_prefill_tokens, record)) {
-    return record;
-  }
-  return DecodePhase(now, pool, ctx);
-}
-
 IterationRecord FastServeScheduler::DecodePhase(SimTime now, RequestPool& pool,
                                                 ServingContext& ctx) {
   IterationRecord record;

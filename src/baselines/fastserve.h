@@ -21,7 +21,6 @@ struct FastServeConfig {
   // levels back-fill so demoted requests are not starved while the GPU has
   // spare batch slots (FastServe batches across queues).
   int max_batch = 16;
-  int max_prefill_tokens = 4096;
 };
 
 class FastServeScheduler : public Scheduler {
@@ -35,8 +34,7 @@ class FastServeScheduler : public Scheduler {
   PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kFifo; }
 
  protected:
-  IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override;
-  // Tick-native decode phase: the MLFQ-prioritized decode batch.
+  // Decode phase: the MLFQ-prioritized decode batch.
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;
 
  private:

@@ -2,7 +2,7 @@
 //
 // Urgent requests (tightest-SLO category) preempt non-urgent ones during
 // decoding: whenever any urgent request is running, the decode batch
-// contains only urgent requests. Urgent prompts also jump the prefill
+// contains only urgent requests. Urgent arrivals also jump the admission
 // queue. This attains tight SLOs for the urgent class but shrinks effective
 // batch sizes, congesting everything else — the failure mode Fig. 1 shows.
 #ifndef ADASERVE_SRC_BASELINES_PRIORITY_H_
@@ -15,7 +15,6 @@ namespace adaserve {
 struct PriorityConfig {
   // Category treated as urgent (Cat 1 by default).
   int urgent_category = 0;
-  int max_prefill_tokens = 4096;
 };
 
 class PriorityScheduler : public Scheduler {
@@ -24,14 +23,13 @@ class PriorityScheduler : public Scheduler {
 
   std::string_view name() const override { return "vLLM+Priority"; }
 
-  // Priority extends to tick-native admission: urgent arrivals jump the
-  // queue, consistent with the urgent-only decode batches below.
+  // Priority extends to admission: urgent arrivals jump the queue,
+  // consistent with the urgent-only decode batches below.
   PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kSloUrgentFirst; }
 
  protected:
-  IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override;
-  // Tick-native decode phase: urgent-only decode whenever any urgent
-  // request is running, otherwise the full running batch.
+  // Decode phase: urgent-only decode whenever any urgent request is
+  // running, otherwise the full running batch.
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;
 
  private:

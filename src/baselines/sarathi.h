@@ -1,9 +1,10 @@
 // Sarathi-Serve: chunked prefill co-batched with decode (§2, §7).
 //
-// Each iteration fills a fixed token budget: first one decode token per
-// running request, then prompt chunks from prefilling requests. Long
-// prompts no longer stall decodes, at the cost of slightly longer
-// iterations — the throughput/latency trade Sarathi targets.
+// Each tick decodes one token for up to `chunk_budget` running requests,
+// then the tick's shared prefill phase co-schedules burst-capped prompt
+// chunks on the leftover token budget. Long prompts no longer stall
+// decodes, at the cost of slightly longer ticks — the throughput/latency
+// trade Sarathi targets.
 #ifndef ADASERVE_SRC_BASELINES_SARATHI_H_
 #define ADASERVE_SRC_BASELINES_SARATHI_H_
 
@@ -12,7 +13,7 @@
 namespace adaserve {
 
 struct SarathiConfig {
-  // Per-iteration token budget shared by decode tokens and prefill chunks.
+  // Per-tick cap on decode tokens (one per running request).
   int chunk_budget = 512;
 };
 
@@ -26,9 +27,8 @@ class SarathiScheduler : public Scheduler {
   PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kFifo; }
 
  protected:
-  IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override;
-  // Tick-native decode phase: the decode half of the chunk budget. Prompt
-  // chunks move to the shared burst-capped prefill phase of the tick.
+  // Decode phase: one token each for up to chunk_budget running
+  // requests. Prompt chunks belong to the tick's shared prefill phase.
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;
 
  private:

@@ -46,15 +46,6 @@ StaticTreeSpecScheduler::StaticTreeSpecScheduler(const StaticTreeConfig& config)
   name_ = "StaticTree(" + shape + ")";
 }
 
-IterationRecord StaticTreeSpecScheduler::DrainStep(SimTime now, RequestPool& pool,
-                                                   ServingContext& ctx) {
-  IterationRecord record;
-  if (RunFullPrefillIteration(now, pool, ctx, config_.max_prefill_tokens, record)) {
-    return record;
-  }
-  return DecodePhase(now, pool, ctx);
-}
-
 IterationRecord StaticTreeSpecScheduler::DecodePhase(SimTime now, RequestPool& pool,
                                                      ServingContext& ctx) {
   IterationRecord record;

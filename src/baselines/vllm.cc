@@ -2,14 +2,6 @@
 
 namespace adaserve {
 
-IterationRecord VllmScheduler::DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) {
-  IterationRecord record;
-  if (RunFullPrefillIteration(now, pool, ctx, config_.max_prefill_tokens, record)) {
-    return record;
-  }
-  return DecodePhase(now, pool, ctx);
-}
-
 IterationRecord VllmScheduler::DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) {
   return RunDecodeIteration(now, pool, ctx, RunningRequests(pool));
 }

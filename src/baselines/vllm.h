@@ -1,10 +1,9 @@
 // vLLM-style continuous batching (§2, §6.1 baselines).
 //
-// Prefill-priority: whenever an admitted request still needs prefill, run a
-// full-prompt prefill iteration (vLLM v0.8.x default scheduling); otherwise
-// run one decode iteration over every running request, committing exactly
-// one token each. Per-token latency is therefore uniform across the batch —
-// the limitation AdaServe targets.
+// Each tick's decode phase runs one decode iteration over every running
+// request, committing exactly one token each; prompts are prefilled by the
+// tick's shared burst-capped prefill phase. Per-token latency is therefore
+// uniform across the batch — the limitation AdaServe targets.
 #ifndef ADASERVE_SRC_BASELINES_VLLM_H_
 #define ADASERVE_SRC_BASELINES_VLLM_H_
 
@@ -12,15 +11,8 @@
 
 namespace adaserve {
 
-struct VllmConfig {
-  // Cap on tokens batched into one prefill iteration (max_num_batched_tokens).
-  int max_prefill_tokens = 4096;
-};
-
 class VllmScheduler : public Scheduler {
  public:
-  explicit VllmScheduler(const VllmConfig& config = {}) : config_(config) {}
-
   std::string_view name() const override { return "vLLM"; }
 
   // vLLM admits strictly FIFO; SLO-blindness at admission is part of the
@@ -28,11 +20,7 @@ class VllmScheduler : public Scheduler {
   PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kFifo; }
 
  protected:
-  IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override;
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;
-
- private:
-  VllmConfig config_;
 };
 
 }  // namespace adaserve

@@ -11,15 +11,6 @@ VllmSpecScheduler::VllmSpecScheduler(const VllmSpecConfig& config)
   ADASERVE_CHECK(config_.spec_len >= 1) << "speculation length must be >= 1";
 }
 
-IterationRecord VllmSpecScheduler::DrainStep(SimTime now, RequestPool& pool,
-                                             ServingContext& ctx) {
-  IterationRecord record;
-  if (RunFullPrefillIteration(now, pool, ctx, config_.max_prefill_tokens, record)) {
-    return record;
-  }
-  return DecodePhase(now, pool, ctx);
-}
-
 IterationRecord VllmSpecScheduler::DecodePhase(SimTime now, RequestPool& pool,
                                                ServingContext& ctx) {
   IterationRecord record;

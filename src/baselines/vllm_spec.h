@@ -16,7 +16,6 @@ namespace adaserve {
 struct VllmSpecConfig {
   // Fixed speculation length (the paper evaluates 4, 6, 8).
   int spec_len = 4;
-  int max_prefill_tokens = 4096;
 };
 
 class VllmSpecScheduler : public Scheduler {
@@ -29,8 +28,7 @@ class VllmSpecScheduler : public Scheduler {
   PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kFifo; }
 
  protected:
-  IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override;
-  // Tick-native decode phase: the k-token chain speculate-verify pass.
+  // Decode phase: the k-token chain speculate-verify pass.
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;
 
  private:

@@ -2,113 +2,19 @@
 
 #include <algorithm>
 
-#include "src/common/logging.h"
 #include "src/core/slo_accounting.h"
 #include "src/spec/verifier.h"
 
 namespace adaserve {
-namespace {
-
-struct PrefillChunk {
-  RequestId id;
-  int tokens;
-};
-
-// Plans prefill chunks FIFO within `budget` tokens.
-std::vector<PrefillChunk> PlanPrefillChunks(const RequestPool& pool,
-                                            const std::vector<RequestId>& prefilling, int budget) {
-  std::vector<PrefillChunk> chunks;
-  for (RequestId id : prefilling) {
-    if (budget <= 0) {
-      break;
-    }
-    const Request& req = pool.Get(id);
-    const int remaining = req.prompt_len - req.prefill_progress;
-    const int take = std::min(remaining, budget);
-    if (take > 0) {
-      chunks.push_back({id, take});
-      budget -= take;
-    }
-  }
-  return chunks;
-}
-
-void ApplyPrefillChunks(RequestPool& pool, ServingContext& ctx,
-                        const std::vector<PrefillChunk>& chunks, SimTime end,
-                        IterationRecord& record) {
-  for (const PrefillChunk& c : chunks) {
-    pool.AdvancePrefill(c.id, c.tokens);
-    record.prefill_tokens += c.tokens;
-    Request& req = pool.Get(c.id);
-    if (req.PrefillDone()) {
-      const Token first =
-          DecodeOneToken(*ctx.target, req.stream_seed, req.output, ctx.mode, *ctx.rng);
-      pool.CommitToken(c.id, first, end);
-      ++record.committed_tokens;
-    }
-  }
-}
-
-}  // namespace
-
-IterationRecord AdaServeScheduler::PrefillOnlyStep(SimTime now, RequestPool& pool,
-                                                   ServingContext& ctx) {
-  IterationRecord record;
-  const std::vector<RequestId> prefilling = PrefillingRequests(pool);
-  ADASERVE_CHECK(!prefilling.empty()) << "prefill-only step without prefill work";
-  // Dedicated prefill pass: drain a backlog_factor-sized slice of the
-  // prompt backlog in one compute-bound forward pass.
-  const int budget =
-      std::max(static_cast<int>(ctx.verify_budget * config_.dedicated_prefill_factor), 1);
-  const std::vector<PrefillChunk> chunks = PlanPrefillChunks(pool, prefilling, budget);
-  int batch_tokens = 0;
-  std::vector<RequestId> ids;
-  for (const PrefillChunk& c : chunks) {
-    batch_tokens += c.tokens;
-    ids.push_back(c.id);
-  }
-  const SimTime latency = ctx.target_latency->PrefillLatency(batch_tokens,
-                                                             pool.SumContextTokens(ids));
-  const SimTime end = now + latency;
-  ApplyPrefillChunks(pool, ctx, chunks, end, record);
-  record.duration = latency;
-  record.prefill_time = latency;
-  last_duration_ = latency;
-  return record;
-}
-
-IterationRecord AdaServeScheduler::DrainStep(SimTime now, RequestPool& pool,
-                                             ServingContext& ctx) {
-  const std::vector<RequestId> running = RunningRequests(pool);
-  const std::vector<RequestId> prefilling = PrefillingRequests(pool);
-  long backlog = 0;
-  for (RequestId id : prefilling) {
-    const Request& req = pool.Get(id);
-    backlog += req.prompt_len - req.prefill_progress;
-  }
-  if (running.empty() ||
-      backlog > static_cast<long>(ctx.verify_budget * config_.backlog_threshold_factor)) {
-    return PrefillOnlyStep(now, pool, ctx);
-  }
-  return SpecIteration(now, pool, ctx, running, prefilling);
-}
 
 IterationRecord AdaServeScheduler::DecodePhase(SimTime now, RequestPool& pool,
                                                ServingContext& ctx) {
+  IterationRecord record;
   const std::vector<RequestId> running = RunningRequests(pool);
   if (running.empty()) {
-    return IterationRecord{};
+    return record;
   }
-  return SpecIteration(now, pool, ctx, running, /*prefilling=*/{});
-}
-
-IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
-                                                 ServingContext& ctx,
-                                                 const std::vector<RequestId>& running,
-                                                 const std::vector<RequestId>& prefilling) {
   const int n = static_cast<int>(running.size());
-
-  IterationRecord record;
   record.decode_requests = n;
 
   // --- adaptive control (Eqs. 8-9) ---
@@ -153,41 +59,19 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
   // Budget: B counts every verified token, roots included (Algorithm 2
   // decrements B once per root at initialisation).
   const int budget_total = std::max(0, ctx.verify_budget - n);
-  long prefill_remaining = 0;
-  for (RequestId id : prefilling) {
-    const Request& req = pool.Get(id);
-    prefill_remaining += req.prompt_len - req.prefill_progress;
-  }
-  // Prefill-priority within a cap: queued prompts take budget off the top
-  // (bounded by prefill_reserve x B so bursts cannot starve decoding), the
-  // SLO-customized phase runs on what remains, then leftovers go to extra
-  // prefill chunks and finally to throughput-optimized speculation.
-  const int prefill_cap = static_cast<int>(std::min<long>(
-      {static_cast<long>(ctx.verify_budget * config_.prefill_reserve), prefill_remaining,
-       static_cast<long>(budget_total)}));
-  int budget = budget_total - prefill_cap;
+  // The SLO-customized phase spends the budget first; the
+  // throughput-optimized phase gets whatever it left.
   TokenSelector selector(sel_requests, config_.selection);
-  budget -= selector.SloPhase(budget);
-  const int prefill_budget = prefill_cap + static_cast<int>(budget * config_.prefill_share);
-  const std::vector<PrefillChunk> chunks = PlanPrefillChunks(pool, prefilling, prefill_budget);
-  int chunk_tokens = 0;
-  for (const PrefillChunk& c : chunks) {
-    chunk_tokens += c.tokens;
-  }
-  budget = budget_total - selector.result().total_taken - chunk_tokens;
-  selector.ThroughputPhase(budget);
+  selector.SloPhase(budget_total);
+  selector.ThroughputPhase(budget_total - selector.result().total_taken);
   const SelectionResult& sel = selector.result();
   const SimTime select_time =
       config_.select_cost_base + config_.select_cost_per_token * candidate_tokens;
 
-  // --- Step 4: verification (one batched target pass) ---
-  const int verify_tokens = n + sel.total_taken + chunk_tokens;
-  std::vector<RequestId> all_ids = running;
-  for (const PrefillChunk& c : chunks) {
-    all_ids.push_back(c.id);
-  }
+  // --- Step 3: verification (one batched target pass) ---
+  const int verify_tokens = n + sel.total_taken;
   const SimTime verify_time = ctx.target_latency->ForwardLatency(
-      verify_tokens, pool.SumContextTokens(all_ids), /*use_cuda_graph=*/true);
+      verify_tokens, pool.SumContextTokens(running), /*use_cuda_graph=*/true);
 
   const SimTime latency = spec_time + select_time + verify_time;
   const SimTime end = now + latency;
@@ -217,7 +101,6 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
       ++record.committed_tokens;
     }
   }
-  ApplyPrefillChunks(pool, ctx, chunks, end, record);
 
   record.duration = latency;
   record.spec_time = spec_time;

@@ -1,15 +1,15 @@
 // The AdaServe scheduler: SLO-customized speculative decoding (§4.3, §5).
 //
-// Each decode iteration runs the speculate-select-verify pipeline:
+// Each tick's decode phase runs the speculate-select-verify pipeline:
 //   1. Speculation   — adaptive-depth/width beam search builds a candidate
 //                      token tree per running request (draft model, GPU).
 //   2. Selection     — SLO-customized phase satisfies each request's
-//                      A_cap(r), then chunked prefill is co-batched, then
-//                      the throughput-optimized phase spends what remains
-//                      (CPU; its cost is modelled and shows up in Fig. 15).
+//                      A_cap(r), then the throughput-optimized phase spends
+//                      what remains of the budget (CPU; its cost is
+//                      modelled and shows up in Fig. 15).
 //   3. Verification  — one batched target forward pass verifies all draft
-//                      trees and prefill chunks; accepted + bonus tokens
-//                      commit.
+//                      trees; accepted + bonus tokens commit.
+// Prompts are prefilled by the tick's shared burst-capped prefill phase.
 #ifndef ADASERVE_SRC_CORE_ADASERVE_SCHEDULER_H_
 #define ADASERVE_SRC_CORE_ADASERVE_SCHEDULER_H_
 
@@ -27,21 +27,6 @@ struct AdaServeConfig {
   bool adaptive_control = true;  // false => use fixed_beam
   BeamConfig fixed_beam = {.depth = 4, .width = 2};
   bool slo_phase_enabled = true;  // false => throughput-only selection
-  // Guaranteed prefill share of the budget, reserved ahead of the SLO phase
-  // so queued prompts keep flowing into decode even under load (otherwise
-  // speculation would starve admission and hide overload as queueing).
-  double prefill_reserve = 0.3;
-  // Fraction of post-SLO-phase leftover budget additionally offered to
-  // chunked prefill (ahead of the throughput-optimized phase).
-  double prefill_share = 0.7;
-  // When the prompt backlog exceeds backlog_threshold_factor x B tokens,
-  // run a dedicated prefill pass of dedicated_prefill_factor x B tokens
-  // instead of a decode iteration. Co-batched chunks alone cannot keep
-  // admission ahead of bursty arrivals; the dedicated pass stalls decoding
-  // (raising A(r) for running requests), which is the prefill pressure the
-  // paper observes at high RPS.
-  double backlog_threshold_factor = 60.0;
-  double dedicated_prefill_factor = 8.0;
   // CPU cost model of the selection phase: base + per-candidate-token cost.
   double select_cost_base = 20e-6;
   double select_cost_per_token = 150e-9;
@@ -61,21 +46,11 @@ class AdaServeScheduler : public Scheduler {
   const BeamConfig& last_beam() const { return last_beam_; }
 
  protected:
-  IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override;
-  // Tick-native decode phase: the speculate-select-verify pipeline over
-  // running requests with the full budget; chunked prefill moves to the
-  // shared burst-capped prefill phase of the tick.
+  // One speculate-select-verify iteration over the running requests with
+  // the full budget.
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;
 
  private:
-  IterationRecord PrefillOnlyStep(SimTime now, RequestPool& pool, ServingContext& ctx);
-  // One speculate-select-verify iteration over `running`; prompts in
-  // `prefilling` are co-batched as chunked prefill (pass an empty list to
-  // run decode-only, as the tick-native decode phase does).
-  IterationRecord SpecIteration(SimTime now, RequestPool& pool, ServingContext& ctx,
-                                const std::vector<RequestId>& running,
-                                const std::vector<RequestId>& prefilling);
-
   AdaServeConfig config_;
   // Previous iteration duration, used as the t_spec estimate in A(r).
   SimTime last_duration_ = -1.0;

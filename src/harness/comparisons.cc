@@ -124,14 +124,4 @@ std::vector<ComparisonPoint> RunComparison(const Experiment& exp,
   return points;
 }
 
-EngineConfig ContinuousTickConfig() {
-  return EngineConfig{};  // Tick-native is the default mode.
-}
-
-EngineConfig BoundaryTickConfig() {
-  EngineConfig engine;
-  engine.tick = TickPolicy::Boundary();
-  return engine;
-}
-
 }  // namespace adaserve

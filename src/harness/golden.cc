@@ -29,10 +29,6 @@ Setup GoldenSetup() {
   return setup;
 }
 
-std::string GoldenModePrefix(GoldenMode mode) {
-  return mode == GoldenMode::kTickNative ? "tick_" : "";
-}
-
 std::string GoldenScenarioPrefix(GoldenScenario scenario) {
   switch (scenario) {
     case GoldenScenario::kRealTrace:
@@ -54,41 +50,22 @@ std::string GoldenScenarioPrefix(GoldenScenario scenario) {
 }
 
 std::string GoldenCell::Filename() const {
-  return GoldenModePrefix(mode) + GoldenScenarioPrefix(scenario) + GoldenFileSlug(kind) + ".txt";
+  return "tick_" + GoldenScenarioPrefix(scenario) + GoldenFileSlug(kind) + ".txt";
 }
 
 std::vector<GoldenCell> AllGoldenCells() {
   std::vector<GoldenCell> cells;
-  const std::vector<SystemKind> systems = MainComparisonSet();
-  // The boundary corpus is the frozen legacy reference: it pins the
-  // historical drain loop for the systems that existed when it was
-  // recorded. Later systems (the deadline-theoretic baselines) are
-  // tick-native designs and join the tick_ corpus only.
-  const std::vector<SystemKind> boundary_systems = {
-      SystemKind::kAdaServe,  SystemKind::kSarathi,   SystemKind::kVllm,
-      SystemKind::kVllmSpec4, SystemKind::kVllmSpec6, SystemKind::kVllmSpec8};
-  // The historical corpus: both modes across the original scenarios.
   for (GoldenScenario scenario :
-       {GoldenScenario::kRealTrace, GoldenScenario::kBursty, GoldenScenario::kDiurnal}) {
-    for (SystemKind kind : systems) {
-      cells.push_back({kind, scenario, GoldenMode::kTickNative});
-    }
-    for (SystemKind kind : boundary_systems) {
-      cells.push_back({kind, scenario, GoldenMode::kBoundary});
-    }
-  }
-  // The stress corpus: tick-native only (the boundary corpus is the
-  // frozen legacy reference).
-  for (GoldenScenario scenario :
-       {GoldenScenario::kFlashCrowd, GoldenScenario::kTenantFlood,
+       {GoldenScenario::kRealTrace, GoldenScenario::kBursty, GoldenScenario::kDiurnal,
+        GoldenScenario::kFlashCrowd, GoldenScenario::kTenantFlood,
         GoldenScenario::kLongPromptPoison, GoldenScenario::kCorrelatedBursts}) {
-    for (SystemKind kind : systems) {
-      cells.push_back({kind, scenario, GoldenMode::kTickNative});
+    for (SystemKind kind : MainComparisonSet()) {
+      cells.push_back({kind, scenario});
     }
   }
   // VTC under the adversarial flood: the fair-queuing baseline the flood
   // scenario exists to stress.
-  cells.push_back({SystemKind::kVtc, GoldenScenario::kTenantFlood, GoldenMode::kTickNative});
+  cells.push_back({SystemKind::kVtc, GoldenScenario::kTenantFlood});
   return cells;
 }
 
@@ -141,11 +118,8 @@ std::vector<Request> GoldenWorkload(const Experiment& exp, const GoldenConfig& c
                                config.trace_seed);
 }
 
-EngineConfig GoldenEngineConfig(const GoldenConfig& config, GoldenScenario scenario,
-                                GoldenMode mode) {
-  // kTickNative is EngineConfig{} — the serving default the tick_ corpus
-  // pins; kBoundary reproduces the legacy drain loop and its corpus.
-  EngineConfig engine = mode == GoldenMode::kBoundary ? BoundaryTickConfig() : EngineConfig{};
+EngineConfig GoldenEngineConfig(const GoldenConfig& config, GoldenScenario scenario) {
+  EngineConfig engine;
   engine.sampling_seed = config.sampling_seed;
   if (scenario != GoldenScenario::kRealTrace) {
     // Streaming scenarios exercise the full lazy path: bounded arrival
@@ -156,9 +130,9 @@ EngineConfig GoldenEngineConfig(const GoldenConfig& config, GoldenScenario scena
 }
 
 EngineResult RunGoldenSystem(const Experiment& exp, SystemKind kind, const GoldenConfig& config,
-                             GoldenScenario scenario, GoldenMode mode) {
+                             GoldenScenario scenario) {
   auto scheduler = MakeScheduler(kind);
-  const EngineConfig engine = GoldenEngineConfig(config, scenario, mode);
+  const EngineConfig engine = GoldenEngineConfig(config, scenario);
   if (scenario == GoldenScenario::kRealTrace) {
     return exp.Run(*scheduler, GoldenWorkload(exp, config), engine);
   }

@@ -3,7 +3,8 @@
 // Pins down the end-of-run metrics of every system in MainComparisonSet()
 // on a fixed-seed workload as canonical text, so scheduler/engine refactors
 // can be proven regression-free by diffing against checked-in baselines
-// (tests/golden/*.txt). Regenerate with `golden_test --update_golden`.
+// (tests/golden/tick_*.txt, one file per cell, all served under the
+// default EngineConfig). Regenerate with `golden_test --update_golden`.
 #ifndef ADASERVE_SRC_HARNESS_GOLDEN_H_
 #define ADASERVE_SRC_HARNESS_GOLDEN_H_
 
@@ -33,10 +34,8 @@ Setup GoldenSetup();
 // Workloads pinned by golden baselines. kRealTrace is the original Fig. 7
 // vector path; kBursty (MMPP stream) and kDiurnal (time-of-day stream) run
 // through the lazy streaming engine with finished-request retirement, so
-// the baselines also pin the streaming admission/metrics path.
-// The stress scenarios (workload/scenarios.h) are pinned too, tick-native
-// only: the boundary corpus is the frozen legacy reference and does not
-// grow.
+// the baselines also pin the streaming admission/metrics path. The stress
+// scenarios (workload/scenarios.h) are pinned too.
 enum class GoldenScenario {
   kRealTrace,
   kBursty,
@@ -47,44 +46,25 @@ enum class GoldenScenario {
   kCorrelatedBursts,
 };
 
-// Serving modes pinned by golden baselines. Every scenario exists in both
-// corpora: kTickNative (files prefixed tick_) pins the default serving
-// mode — continuous ticks with each scheduler's admission-priority
-// default and evict-for-admission — while kBoundary (unprefixed files,
-// the pre-tick corpus) pins the legacy drain loop via BoundaryTickConfig
-// and must never drift (tick_equivalence_test additionally proves it
-// byte-identical to Experiment::RunLegacyDrainLoop).
-enum class GoldenMode {
-  kTickNative,
-  kBoundary,
-};
-
 // Baseline filename prefix: "", "bursty_", "diurnal_", "flash_",
 // "flood_", "hol_", "corr_".
 std::string GoldenScenarioPrefix(GoldenScenario scenario);
 
-// One pinned baseline: (system, scenario, mode) -> tests/golden/<file>.
+// One pinned baseline: (system, scenario) -> tests/golden/<file>.
 struct GoldenCell {
   SystemKind kind = SystemKind::kAdaServe;
   GoldenScenario scenario = GoldenScenario::kRealTrace;
-  GoldenMode mode = GoldenMode::kTickNative;
 
-  // Baseline filename, e.g. "tick_bursty_adaserve.txt".
+  // Baseline filename: "tick_" + scenario prefix + system slug, e.g.
+  // "tick_bursty_adaserve.txt".
   std::string Filename() const;
 };
 
 // The single source of truth for the golden corpus: every cell the
 // regression test checks, `--update_golden` regenerates, and the orphan
-// scan accepts. MainComparisonSet x {real-trace, bursty, diurnal} x
-// {tick-native, boundary} (the historical corpus), plus MainComparisonSet
-// x the four stress scenarios tick-native, plus VTC under the tenant
-// flood (the fair-queuing baseline the flood exists to stress).
+// scan accepts. MainComparisonSet x every scenario, plus VTC under the
+// tenant flood (the fair-queuing baseline the flood exists to stress).
 std::vector<GoldenCell> AllGoldenCells();
-
-// Baseline filename mode prefix: "tick_" for kTickNative, "" for
-// kBoundary. Composes in front of the scenario prefix, e.g.
-// tick_bursty_adaserve.txt.
-std::string GoldenModePrefix(GoldenMode mode);
 
 // Builds the canonical fixed-seed stream for a streaming scenario
 // (kBursty/kDiurnal only).
@@ -92,23 +72,20 @@ std::unique_ptr<ArrivalStream> MakeGoldenStream(const Experiment& exp, GoldenSce
                                                 const GoldenConfig& config = {});
 
 // The canonical fixed-seed vector workload of the kRealTrace scenario —
-// what RunGoldenSystem replays. Exposed so equivalence tests can drive
-// alternative loops (legacy drain, tick-native) over the exact golden
-// trace.
+// what RunGoldenSystem replays. Exposed so tests can drive the exact
+// golden trace through their own loops.
 std::vector<Request> GoldenWorkload(const Experiment& exp, const GoldenConfig& config = {});
 
-// Engine config RunGoldenSystem serves (scenario, mode) under — factored
-// out so the record/replay harness can attach a trace sink to the exact
-// golden engine settings.
-EngineConfig GoldenEngineConfig(const GoldenConfig& config, GoldenScenario scenario,
-                                GoldenMode mode);
+// Engine config RunGoldenSystem serves `scenario` under — factored out so
+// the record/replay harness can attach a trace sink to the exact golden
+// engine settings.
+EngineConfig GoldenEngineConfig(const GoldenConfig& config, GoldenScenario scenario);
 
-// Runs `kind` on the canonical workload of `scenario` under `mode` and
-// returns its result. The default is the serving default: tick-native.
+// Runs `kind` on the canonical workload of `scenario` and returns its
+// result.
 EngineResult RunGoldenSystem(const Experiment& exp, SystemKind kind,
                              const GoldenConfig& config = {},
-                             GoldenScenario scenario = GoldenScenario::kRealTrace,
-                             GoldenMode mode = GoldenMode::kTickNative);
+                             GoldenScenario scenario = GoldenScenario::kRealTrace);
 
 // Serializes the regression-relevant metrics (finished count, throughput,
 // SLO attainment, goodput, acceptance rate, per-category breakdown) to a

@@ -201,7 +201,6 @@ std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
   os << "engine.record_iterations: " << (e.record_iterations ? 1 : 0) << "\n";
   os << "engine.retire_finished: " << (e.retire_finished ? 1 : 0) << "\n";
   os << "tick.max_active: " << e.tick.max_active << "\n";
-  os << "tick.continuous: " << (e.tick.continuous ? 1 : 0) << "\n";
   os << "tick.prefill_burst: " << e.tick.prefill_burst << "\n";
   os << "tick.max_evictions: " << e.tick.max_evictions << "\n";
   // -1: unset (scheduler default resolves it at run time).
@@ -299,7 +298,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
   if (!ReadKeyedBool(in, "engine.record_iterations", &e.record_iterations, error)) return false;
   if (!ReadKeyedBool(in, "engine.retire_finished", &e.retire_finished, error)) return false;
   if (!ReadKeyedInt(in, "tick.max_active", &e.tick.max_active, error)) return false;
-  if (!ReadKeyedBool(in, "tick.continuous", &e.tick.continuous, error)) return false;
   if (!ReadKeyedInt(in, "tick.prefill_burst", &e.tick.prefill_burst, error)) return false;
   if (!ReadKeyedInt(in, "tick.max_evictions", &e.tick.max_evictions, error)) return false;
   if (!ReadKeyedInt(in, "tick.priority", &priority, error)) return false;
@@ -496,10 +494,10 @@ RecordedRun RecordRun(const Experiment& exp, SystemKind kind, WorkloadSource sou
 }
 
 RecordedRun RecordGoldenRun(const Experiment& exp, SystemKind kind, const GoldenConfig& config,
-                            GoldenScenario scenario, GoldenMode mode) {
-  const EngineConfig engine = GoldenEngineConfig(config, scenario, mode);
-  const std::string label =
-      "golden/" + GoldenModePrefix(mode) + GoldenScenarioPrefix(scenario) + GoldenFileSlug(kind);
+                            GoldenScenario scenario) {
+  const EngineConfig engine = GoldenEngineConfig(config, scenario);
+  std::string label = "golden/" + GoldenCell{kind, scenario}.Filename();
+  label.resize(label.size() - 4);  // strip ".txt"
   if (scenario == GoldenScenario::kRealTrace) {
     return RecordRun(exp, kind, GoldenWorkload(exp, config), engine, "golden", label);
   }

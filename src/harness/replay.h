@@ -41,7 +41,8 @@ namespace adaserve {
 // v2: tick lines carry the admission-control rejected/degraded counters.
 // v3: drops the async-planner header key and the 19th per-tick field
 //     (the planner's verdict) along with the planner itself.
-inline constexpr int kReplaySchemaVersion = 3;
+// v4: drops the boundary-mode header key along with boundary mode.
+inline constexpr int kReplaySchemaVersion = 4;
 
 // A recorded run, self-contained up to the setup registry: everything
 // needed to re-execute and everything needed to check the re-execution.
@@ -121,13 +122,12 @@ RecordedRun RecordRun(const Experiment& exp, SystemKind kind, WorkloadSource sou
                       EngineConfig engine, const std::string& setup_id,
                       const std::string& label = "", int verify_budget = 0, int draft_budget = 0);
 
-// Records the exact golden cell (scenario x mode) RunGoldenSystem runs:
+// Records the exact golden cell (system x scenario) RunGoldenSystem runs:
 // same workload, same engine config, same metrics — with the artifact on
 // the side. Requires `exp` built from GoldenSetup() (setup id "golden").
 RecordedRun RecordGoldenRun(const Experiment& exp, SystemKind kind,
                             const GoldenConfig& config = {},
-                            GoldenScenario scenario = GoldenScenario::kRealTrace,
-                            GoldenMode mode = GoldenMode::kTickNative);
+                            GoldenScenario scenario = GoldenScenario::kRealTrace);
 
 struct RecordedClusterRun {
   // One artifact per replica, replica order; each replays standalone.

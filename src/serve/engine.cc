@@ -39,8 +39,7 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
   ctx.rng = &rng;
   // The whole tick policy crosses the engine boundary as one value:
   // ResolvedFor fills an unset admission priority from the scheduler's
-  // default and neutralizes tick-native knobs in boundary mode (the drain
-  // loop's byte-identity to the legacy engine depends on it).
+  // default.
   ctx.tick = config_.tick.ResolvedFor(scheduler);
 
   // Pull until this many requests sit in the admission queue: admission can
@@ -52,7 +51,7 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
   SimTime last_arrival = 0.0;
   // Makes arrivals due by `t` visible in the admission queue, bounded by
   // the horizon. Shared between the engine's boundary pull and the
-  // scheduler's mid-tick admission phase (tick-native mode).
+  // scheduler's mid-tick admission phase.
   // Arrivals pulled since the last traced tick; charged to the next
   // progressing tick by the trace sink (boundary + mid-tick pulls alike).
   int pulls_since_tick = 0;

@@ -2,8 +2,8 @@
 //
 // The engine replays an arrival trace against a scheduler: it pulls
 // arrivals whose time has come from an ArrivalStream, hands the scheduler
-// one Tick (the tick itself admits, prefills, decodes, and — in
-// tick-native mode — admits again mid-tick), advances the clock by the
+// one Tick (the tick itself admits, decodes, admits again mid-tick, and
+// prefills), advances the clock by the
 // tick's duration, and repeats until the stream is exhausted and every
 // request finishes. It is the execution-engine half of Fig. 6 with GPU
 // time supplied by the roofline model; all policy lives in the tick.
@@ -81,8 +81,8 @@ struct EngineConfig {
   // to a non-retiring run.
   bool retire_finished = false;
   // The unified tick policy (scheduler.h): every tick-shaped serving knob
-  // — slot cap, continuous vs boundary ticks, prefill burst, eviction
-  // budget, admission priority, event-driven clock — in one struct.
+  // — slot cap, prefill burst, eviction budget, admission priority,
+  // event-driven clock — in one struct.
   // Engine::Run resolves it (TickPolicy::ResolvedFor) and hands it to the
   // scheduler through ServingContext unchanged.
   TickPolicy tick;

@@ -53,8 +53,7 @@ struct Metrics {
 
   // Tick-protocol counters: admissions, recompute-style evictions, and
   // progress-preserving pauses (kSloUrgentPause preemptive eviction)
-  // summed over all ticks. In boundary mode evictions and pauses are
-  // always 0.
+  // summed over all ticks.
   long admissions = 0;
   long evictions = 0;
   long pauses = 0;

@@ -73,11 +73,11 @@ class RequestPool {
   // Admits (FIFO or ranked) until blocked; returns number admitted.
   int AdmitUpTo(int max_active, const AdmissionRanker& rank = nullptr);
 
-  // Admission under KV pressure (the boundary admission phase of a
-  // tick-native tick uses this): tries to admit the head (queue front or
-  // ranked-best), and when it is blocked on KV alone, evicts victims
-  // chosen by `select_victim` — newest-admitted zero-output requests when
-  // null — recompute-style (KV released, prefill progress reset) until
+  // Admission under KV pressure (the boundary admission phase of a tick
+  // uses this): tries to admit the head (queue front or ranked-best),
+  // and when it is blocked on KV alone, evicts victims chosen by
+  // `select_victim` — newest-admitted zero-output requests when null —
+  // recompute-style (KV released, prefill progress reset) until
   // the head fits, at most `max_evictions` of them. Evicted requests
   // re-enter the queue immediately behind the head in reverse eviction
   // order, so they are retried before older queued work: with the null

@@ -10,19 +10,10 @@ namespace adaserve {
 
 TickPolicy TickPolicy::ResolvedFor(const Scheduler& scheduler) const {
   TickPolicy resolved = *this;
-  if (resolved.continuous) {
-    // Tick-native mode: an explicit policy wins, otherwise the
-    // scheduler's own default (e.g. AdaServe admits urgent-first, vLLM
-    // stays FIFO).
-    if (!resolved.admission_priority.has_value()) {
-      resolved.admission_priority = scheduler.AdmissionPriority();
-    }
-  } else {
-    // Boundary mode is the legacy drain loop, byte-for-byte: it admits
-    // FIFO and never evicts, regardless of the tick-native knobs —
-    // `continuous = false` alone must still mean "the historical engine".
-    resolved.admission_priority = PriorityPolicy::kFifo;
-    resolved.max_evictions = 0;
+  // An explicit policy wins, otherwise the scheduler's own default (e.g.
+  // AdaServe admits urgent-first, vLLM stays FIFO).
+  if (!resolved.admission_priority.has_value()) {
+    resolved.admission_priority = scheduler.AdmissionPriority();
   }
   return resolved;
 }
@@ -47,43 +38,6 @@ std::vector<RequestId> PrefillingRequests(const RequestPool& pool) {
     }
   }
   return ids;
-}
-
-bool RunFullPrefillIteration(SimTime now, RequestPool& pool, ServingContext& ctx,
-                             int max_prefill_tokens, IterationRecord& record) {
-  const std::vector<RequestId> prefilling = PrefillingRequests(pool);
-  if (prefilling.empty()) {
-    return false;
-  }
-  // Batch whole prompts FIFO until the token cap; always take at least one
-  // prompt so oversized prompts still make progress.
-  std::vector<RequestId> batch;
-  int batch_tokens = 0;
-  for (RequestId id : prefilling) {
-    const Request& req = pool.Get(id);
-    const int remaining = req.prompt_len - req.prefill_progress;
-    if (!batch.empty() && batch_tokens + remaining > max_prefill_tokens) {
-      break;
-    }
-    batch.push_back(id);
-    batch_tokens += remaining;
-  }
-  const long context = pool.SumContextTokens(batch);
-  const SimTime latency = ctx.target_latency->PrefillLatency(batch_tokens, context);
-  const SimTime end = now + latency;
-  for (RequestId id : batch) {
-    Request& req = pool.Get(id);
-    pool.AdvancePrefill(id, req.prompt_len - req.prefill_progress);
-    // Prefill's last forward pass produces the first output token.
-    const Token first =
-        DecodeOneToken(*ctx.target, req.stream_seed, req.output, ctx.mode, *ctx.rng);
-    pool.CommitToken(id, first, end);
-  }
-  record.duration = latency;
-  record.prefill_time = latency;
-  record.prefill_tokens = batch_tokens;
-  record.committed_tokens = static_cast<int>(batch.size());
-  return true;
 }
 
 IterationRecord RunDecodeIteration(SimTime now, RequestPool& pool, ServingContext& ctx,
@@ -338,24 +292,9 @@ TickResult RunContinuousTick(SimTime now, RequestPool& pool, ServingContext& ctx
 }
 
 TickResult Scheduler::Tick(SimTime now, RequestPool& pool, ServingContext& ctx) {
-  if (ctx.tick.continuous) {
-    return RunContinuousTick(now, pool, ctx,
-                             [this](SimTime t, RequestPool& p, ServingContext& c) {
-                               return DecodePhase(t, p, c);
-                             });
-  }
-  // Boundary mode: admission at tick start, then one drain-style
-  // iteration — the exact sequence of the historical engine loop.
-  TickResult tick;
-  tick.record.admitted = TickAdmitPhase(now, pool, ctx, &tick.record.evicted);
-  if (!pool.active().empty()) {
-    const int admitted = tick.record.admitted;
-    const int evicted = tick.record.evicted;
-    tick.record = DrainStep(now, pool, ctx);
-    tick.record.admitted += admitted;
-    tick.record.evicted += evicted;
-  }
-  return tick;
+  return RunContinuousTick(now, pool, ctx, [this](SimTime t, RequestPool& p, ServingContext& c) {
+    return DecodePhase(t, p, c);
+  });
 }
 
 }  // namespace adaserve

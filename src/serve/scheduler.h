@@ -1,21 +1,16 @@
 // Scheduler interface and shared serving machinery.
 //
-// Every serving system — AdaServe and all six baselines — speaks the
+// Every serving system — AdaServe and all the baselines — speaks the
 // tick-based continuous-batching protocol: the engine calls
-// Scheduler::Tick once per event-loop iteration, and the tick itself
-// performs admission, the scheduler's decode/speculate/verify phase, and
-// (in tick-native mode) mid-tick admission plus a burst-capped prefill
-// phase. Requests therefore join and leave batches mid-flight instead of
-// only at drain boundaries; the engine (engine.h) stays policy-free and
-// only feeds arrivals and advances the clock.
+// Scheduler::Tick once per event-loop iteration, and the tick performs
+// boundary admission, the scheduler's decode/speculate/verify phase,
+// mid-tick admission, and a burst-capped prefill phase. Requests
+// therefore join and leave batches mid-flight; the engine (engine.h)
+// stays policy-free and only feeds arrivals and advances the clock.
 //
-// Schedulers implement two phase hooks rather than a monolithic step:
-//   - DrainStep:   the legacy drain-style iteration (boundary mode). The
-//                  default-config engine runs exactly this after boundary
-//                  admission, byte-identical to the historical loop.
-//   - DecodePhase: phase A of a tick-native tick — advance running
-//                  requests only; the shared tick machinery then handles
-//                  mid-tick admission and budgeted prefill (phase B/C).
+// Schedulers implement one phase hook, DecodePhase: phase A of the tick —
+// advance running requests only. The shared tick machinery
+// (RunContinuousTick) owns admission and budgeted prefill around it.
 #ifndef ADASERVE_SRC_SERVE_SCHEDULER_H_
 #define ADASERVE_SRC_SERVE_SCHEDULER_H_
 
@@ -34,16 +29,15 @@ namespace adaserve {
 
 class Scheduler;
 
-// Default per-request prefill token cap of one tick-native prefill phase
+// Default per-request prefill token cap of one tick's prefill phase
 // (the UMA-Serve kBurst limit): one very long prompt cannot consume an
 // entire prefill pass, so TTFT of the prompts queued behind it stays
 // bounded by ~budget/kBurst peers per tick.
 inline constexpr int kBurst = 512;
 
 // Admission-ordering policy of the tick's admission phases (boundary and
-// mid-tick). kFifo admits in arrival order — the historical behavior and
-// the only order the drain-style boundary mode can express. kSloUrgentFirst
-// is the paper's SLO-customized admission: requests from tighter-TPOT-SLO
+// mid-tick). kFifo admits in arrival order. kSloUrgentFirst is the
+// paper's SLO-customized admission: requests from tighter-TPOT-SLO
 // categories jump the queue at both admission points, and the
 // evict-for-admission phase may recompute-evict a strictly less urgent
 // *prefilling* request to make room for an urgent head. kSloUrgentPause
@@ -67,25 +61,18 @@ enum class PriorityPolicy {
 // owned by EngineConfig and handed to the scheduler through ServingContext
 // unchanged (Engine::Run resolves it with ResolvedFor instead of
 // projecting field by field). Defaults describe the serving default —
-// tick-native continuous batching with bounded evict-for-admission.
+// continuous batching with bounded evict-for-admission.
 struct TickPolicy {
   // Upper bound on concurrently admitted requests (vLLM max_num_seqs).
   int max_active = 256;
-  // Tick-native continuous batching: admission moves inside the tick
-  // (including mid-tick, after the decode phase) and prefill runs as a
-  // shared burst-capped phase. false = boundary admission + drain-style
-  // iterations, byte-identical to the historical loop.
-  bool continuous = true;
   // kBurst-style per-request prefill cap of the tick's prefill phase.
   int prefill_burst = kBurst;
-  // Continuous mode: max evictions (recompute- or pause-style, per the
-  // priority policy) per boundary admission phase (0 disables
-  // evict-for-admission).
+  // Max evictions (recompute- or pause-style, per the priority policy)
+  // per boundary admission phase (0 disables evict-for-admission).
   int max_evictions = 4;
   // Admission ordering of both admission phases, and the victim policy of
   // evict-for-admission. Unset defers to the scheduler's own
-  // AdmissionPriority() default (ResolvedFor fills it in); boundary mode
-  // always resolves to kFifo (drain-loop byte-identity).
+  // AdmissionPriority() default (ResolvedFor fills it in).
   std::optional<PriorityPolicy> admission_priority;
   // Next-event scheduling: when the pool is provably inert, the engine
   // advances the clock straight to the next arrival instead of probing
@@ -98,22 +85,9 @@ struct TickPolicy {
     return admission_priority.value_or(PriorityPolicy::kFifo);
   }
 
-  // The policy the engine serves: tick-native mode fills an unset
-  // admission_priority from the scheduler's default; boundary mode
-  // neutralizes every tick-native knob (FIFO, no eviction) so
-  // `continuous = false` alone still means "the historical engine".
+  // The policy the engine serves: an unset admission_priority is filled
+  // from the scheduler's default.
   TickPolicy ResolvedFor(const Scheduler& scheduler) const;
-
-  // Named presets, mirrored by the EngineConfig-level
-  // ContinuousTickConfig()/BoundaryTickConfig().
-  static TickPolicy Continuous() { return TickPolicy{}; }
-  static TickPolicy Boundary() {
-    TickPolicy policy;
-    policy.continuous = false;
-    policy.max_evictions = 0;
-    policy.admission_priority = PriorityPolicy::kFifo;
-    return policy;
-  }
 };
 
 // Shared services handed to schedulers each tick. Non-owning.
@@ -171,35 +145,27 @@ class Scheduler {
 
   virtual std::string_view name() const = 0;
 
-  // Runs one tick starting at `now`: boundary admission, then either the
-  // drain-style iteration (boundary mode) or the shared continuous-tick
-  // phases around DecodePhase (tick-native mode). Must make progress
-  // whenever the pool has admissible or active work. Overridable for
-  // schedulers that want to own the whole tick.
+  // Runs one tick starting at `now`: RunContinuousTick around
+  // DecodePhase. Must make progress whenever the pool has admissible or
+  // active work. Overridable for schedulers that want to own the whole
+  // tick.
   virtual TickResult Tick(SimTime now, RequestPool& pool, ServingContext& ctx);
 
-  // Legacy drain-loop entry point: one drain-style iteration with
-  // admission handled by the caller. Kept public for reference drivers
-  // (tick_equivalence_test pins Engine ticks against it); the engine
-  // itself only calls Tick().
-  IterationRecord Step(SimTime now, RequestPool& pool, ServingContext& ctx) {
-    return DrainStep(now, pool, ctx);
-  }
-
-  // The scheduler's default admission-priority policy for tick-native
-  // serving; TickPolicy::admission_priority overrides it and boundary
-  // mode ignores it (admission there is always FIFO). Base default: FIFO.
+  // The scheduler's default admission-priority policy;
+  // TickPolicy::admission_priority overrides it. Base default: FIFO.
   virtual PriorityPolicy AdmissionPriority() const { return PriorityPolicy::kFifo; }
 
  protected:
-  // Drain-style iteration (admit/prefill/decode in one scheduler-owned
-  // pass). Assumes admission already ran and the pool has active work.
-  virtual IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) = 0;
-
-  // Phase A of a tick-native tick: advance running requests only (decode /
+  // Phase A of a tick: advance running requests only (decode /
   // speculate-verify); prefill and admission belong to the shared phases.
   // Must return an empty record when nothing is running.
   virtual IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) = 0;
+
+  // Nothing calls this hook and no scheduler in the library overrides it.
+  // It survives only because the repository benchmark's scheduler
+  // decorator (perfbench/cell.cc) still declares an override of it; delete
+  // it together with that override.
+  virtual IterationRecord DrainStep(SimTime, RequestPool&, ServingContext&) { return {}; }
 };
 
 // --- shared building blocks used by multiple schedulers ---
@@ -211,13 +177,6 @@ class Scheduler {
 // that has not even produced token one is at least this urgent). This is
 // the key every kEdf ranking, victim selection, and ordering decision uses.
 SimTime NextTokenDeadline(const Request& req);
-
-// Runs a vLLM-style prefill-priority iteration if any admitted request still
-// needs prefill: full prompts are batched up to `max_prefill_tokens` and
-// processed in one pass; completing requests commit their first output
-// token. Returns true (and fills `record`) if a prefill iteration ran.
-bool RunFullPrefillIteration(SimTime now, RequestPool& pool, ServingContext& ctx,
-                             int max_prefill_tokens, IterationRecord& record);
 
 // Runs one continuous-batching decode iteration over `ids` (all must be in
 // kRunning): each request commits exactly one target-sampled token.
@@ -262,10 +221,9 @@ int TickAdmitPhase(SimTime now, RequestPool& pool, ServingContext& ctx, int* evi
 // Mid-tick admission phase: pulls arrivals due by `now` (via
 // ctx.pull_arrivals, when set) and admits in ctx.tick.priority() order.
 // Requests arriving while the decode phase occupied the GPU join this
-// tick's prefill phase instead of waiting for the next boundary — the
-// admission latency the drain loop could not avoid; under the SLO-aware
-// policies an urgent arrival additionally jumps every queued non-urgent
-// request.
+// tick's prefill phase instead of waiting for the next tick; under the
+// SLO-aware policies an urgent arrival additionally jumps every queued
+// non-urgent request.
 int MidTickAdmitPhase(SimTime now, RequestPool& pool, ServingContext& ctx);
 
 // Budgeted prefill phase: one chunked-prefill pass over prefilling
@@ -279,7 +237,7 @@ IterationRecord RunBudgetedPrefillPhase(SimTime now, RequestPool& pool, ServingC
 // Scheduler-specific phase-A body used by RunContinuousTick.
 using TickPhaseFn = std::function<IterationRecord(SimTime, RequestPool&, ServingContext&)>;
 
-// The shared tick-native tick:
+// The shared tick:
 //   boundary admission -> decode phase (every running request advances) ->
 //   mid-tick admission at the decode phase's end time -> burst-capped
 //   prefill phase on the leftover token budget.

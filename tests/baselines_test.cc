@@ -110,59 +110,6 @@ TEST_F(BaselinesTest, FastServePrefersShortJobs) {
             result.metrics.per_category[kCatSummarization].tpot_ms.Mean());
 }
 
-TEST_F(BaselinesTest, SarathiBoundsIterationTokens) {
-  SarathiConfig config;
-  config.chunk_budget = 64;
-  SarathiScheduler scheduler(config);
-  const std::vector<Request> workload =
-      UniformWorkload(exp_, 3, kCatSummarization, 0.05, /*prompt_len=*/500);
-  // Per-iteration chunk budgeting is a drain-step property: tick-native
-  // records merge the decode phase with the shared (kBurst-floored)
-  // prefill phase, so the bound only holds in boundary mode.
-  const EngineResult result = exp_.Run(scheduler, workload, BoundaryTickConfig());
-  for (const IterationRecord& rec : result.iterations) {
-    EXPECT_LE(rec.prefill_tokens + rec.decode_requests, 64 + 1);
-  }
-  EXPECT_EQ(result.metrics.finished, 3);
-}
-
-TEST_F(BaselinesTest, SarathiChunksLongPromptsAcrossIterations) {
-  SarathiConfig config;
-  config.chunk_budget = 64;
-  SarathiScheduler scheduler(config);
-  const std::vector<Request> workload =
-      UniformWorkload(exp_, 1, kCatSummarization, 0.0, /*prompt_len=*/300, /*output_len=*/4);
-  // Boundary mode: the tick-native prefill phase would swallow the whole
-  // prompt in one kBurst-capped pass instead of chunk_budget slices.
-  const EngineResult result = exp_.Run(scheduler, workload, BoundaryTickConfig());
-  int prefill_iterations = 0;
-  for (const IterationRecord& rec : result.iterations) {
-    if (rec.prefill_tokens > 0) {
-      ++prefill_iterations;
-    }
-  }
-  EXPECT_GE(prefill_iterations, 300 / 64);
-}
-
-TEST_F(BaselinesTest, VllmPrefillPriorityStallsDecodes) {
-  // With a long prompt arriving mid-decode, vLLM runs a prefill-only
-  // iteration; decode iterations never mix prefill tokens.
-  VllmScheduler scheduler;
-  std::vector<Request> workload = UniformWorkload(exp_, 2, kCatChat, 0.0);
-  Request late = UniformWorkload(exp_, 1, kCatSummarization, 0.0, /*prompt_len=*/2000)[0];
-  late.id = 2;
-  late.arrival = 0.2;
-  late.stream_seed += 77;
-  workload.push_back(late);
-  // Prefill/decode exclusivity is the drain-style iteration shape; a
-  // tick-native tick co-schedules both phases in one record by design.
-  const EngineResult result = exp_.Run(scheduler, workload, BoundaryTickConfig());
-  for (const IterationRecord& rec : result.iterations) {
-    // An iteration is either prefill or decode, never both (vLLM v0.8 default).
-    EXPECT_TRUE(rec.prefill_tokens == 0 || rec.decode_requests == 0);
-  }
-}
-
 TEST_F(BaselinesTest, SpecLenNamesDistinct) {
   EXPECT_EQ(VllmSpecScheduler(VllmSpecConfig{.spec_len = 4}).name(), "vLLM-Spec(4)");
   EXPECT_EQ(VllmSpecScheduler(VllmSpecConfig{.spec_len = 8}).name(), "vLLM-Spec(8)");

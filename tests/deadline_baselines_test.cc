@@ -288,22 +288,6 @@ TEST_F(DeadlineBaselinesTest, OverloadedStreamingRunRetiresRejectedRequests) {
   EXPECT_TRUE(result.requests.empty()) << "streaming runs keep no request records";
 }
 
-TEST_F(DeadlineBaselinesTest, BoundaryModeIsPlainEdf) {
-  // Boundary mode is defined as the legacy drain loop: the controller
-  // stands down, so EDF+AC and EDF are byte-identical there.
-  const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  EdfScheduler edf;
-  AdmissionControlScheduler ac;
-  const EngineResult edf_result = exp_.Run(edf, workload, BoundaryTickConfig());
-  const EngineResult ac_result = exp_.Run(ac, workload, BoundaryTickConfig());
-  EXPECT_EQ(ac_result.metrics.rejections, 0);
-  EXPECT_EQ(ac_result.metrics.degraded, 0);
-  EXPECT_EQ(ac_result.metrics.finished, edf_result.metrics.finished);
-  EXPECT_EQ(ac_result.metrics.attained, edf_result.metrics.attained);
-  EXPECT_EQ(ac_result.metrics.output_tokens(), edf_result.metrics.output_tokens());
-  EXPECT_DOUBLE_EQ(ac_result.metrics.makespan, edf_result.metrics.makespan);
-}
-
 TEST_F(DeadlineBaselinesTest, SystemRegistryRoundTripsTheNewBaselines) {
   EXPECT_EQ(SystemName(SystemKind::kEdf), "EDF");
   EXPECT_EQ(SystemName(SystemKind::kEdfAdmission), "EDF+AC");

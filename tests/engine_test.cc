@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "src/harness/golden.h"
 #include "tests/test_util.h"
 
@@ -181,58 +183,85 @@ TEST_F(EngineTest, MetricsBreakdownMatchesIterationLog) {
   EXPECT_NEAR(result.metrics.verify_time, verify, 1e-9);
 }
 
-TEST_F(EngineTest, ContinuousTicksDrainEverythingAndCountAdmissions) {
-  VllmScheduler scheduler;
+// Every system of the main comparison, under the default config, drains
+// the workload completely with consistent tick accounting.
+class EngineSystemTest : public EngineTest, public ::testing::WithParamInterface<SystemKind> {};
+
+TEST_P(EngineSystemTest, ContinuousTicksDrainEverythingAndCountAdmissions) {
+  // Literals, so a silent change of the serving default cannot hide here.
+  const EngineConfig defaults;
+  EXPECT_EQ(defaults.tick.max_evictions, 4);
+  EXPECT_EQ(defaults.tick.prefill_burst, kBurst);
+  EXPECT_FALSE(defaults.tick.admission_priority.has_value());
+
+  auto scheduler = MakeScheduler(GetParam());
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  const EngineResult result = exp_.Run(scheduler, workload, ContinuousTickConfig());
+  const EngineResult result = exp_.Run(*scheduler, workload);
   EXPECT_EQ(result.metrics.finished, static_cast<int>(workload.size()));
   EXPECT_EQ(result.metrics.admissions,
             static_cast<long>(workload.size()) + result.metrics.evictions);
   for (const IterationRecord& rec : result.iterations) {
     EXPECT_GT(rec.duration, 0.0);
   }
+  for (const Request& req : result.requests) {
+    EXPECT_EQ(req.state, RequestState::kFinished);
+    EXPECT_EQ(req.output_len(), req.target_output_len);
+    EXPECT_EQ(req.prefill_progress, req.prompt_len);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(MainComparisonSet, EngineSystemTest,
+                         ::testing::ValuesIn(MainComparisonSet()),
+                         [](const ::testing::TestParamInfo<SystemKind>& info) {
+                           std::string name(SystemName(info.param));
+                           for (char& ch : name) {
+                             if (!std::isalnum(static_cast<unsigned char>(ch))) {
+                               ch = '_';
+                             }
+                           }
+                           return name;
+                         });
 
 TEST_F(EngineTest, ContinuousTicksAreDeterministic) {
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
   AdaServeScheduler s1;
   AdaServeScheduler s2;
-  const EngineResult a = exp_.Run(s1, workload, ContinuousTickConfig());
-  const EngineResult b = exp_.Run(s2, workload, ContinuousTickConfig());
+  const EngineResult a = exp_.Run(s1, workload);
+  const EngineResult b = exp_.Run(s2, workload);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.total_iterations, b.total_iterations);
   EXPECT_EQ(a.metrics.GoodputTps(), b.metrics.GoodputTps());
 }
 
-TEST_F(EngineTest, ContinuousTicksAdmitLateArrivalsSoonerThanBoundaryTicks) {
+TEST_F(EngineTest, ContinuousTicksAdmitLateArrivalsBeforeLongPromptFinishesPrefill) {
   // One giant prompt occupies the engine while a short request lands
-  // mid-flight. Boundary mode cannot see the late arrival until the long
-  // tick completes; tick-native mode admits it mid-tick and burst-caps
-  // the big prompt's prefill, so the short request's first token lands
-  // strictly earlier.
+  // mid-flight. The prefill phase burst-caps the giant prompt, so the
+  // first tick ends long before its prompt is done and the late arrival
+  // is admitted at the very next tick boundary.
   std::vector<Request> workload = UniformWorkload(exp_, 2, kCatChat, 0.0,
                                                   /*prompt_len=*/6000, /*output_len=*/8);
   workload[1].prompt_len = 32;
   workload[1].arrival = 0.005;
 
-  VllmScheduler boundary_scheduler;
-  const EngineResult boundary = exp_.Run(boundary_scheduler, workload, BoundaryTickConfig());
-  VllmScheduler continuous_scheduler;
-  const EngineResult continuous =
-      exp_.Run(continuous_scheduler, workload, ContinuousTickConfig());
-
-  ASSERT_EQ(boundary.metrics.finished, 2);
-  ASSERT_EQ(continuous.metrics.finished, 2);
-  const auto ttft = [](const EngineResult& r, RequestId id) {
-    return r.requests[id].first_token_time - r.requests[id].arrival;
-  };
-  EXPECT_LT(ttft(continuous, 1), ttft(boundary, 1));
+  VllmScheduler scheduler;
+  const EngineResult result = exp_.Run(scheduler, workload);
+  ASSERT_EQ(result.metrics.finished, 2);
+  ASSERT_GE(result.iterations.size(), 2u);
+  const IterationRecord& first = result.iterations[0];
+  const IterationRecord& second = result.iterations[1];
+  EXPECT_EQ(first.admitted, 1);
+  EXPECT_EQ(first.prefill_tokens, kBurst);
+  EXPECT_GT(first.duration, workload[1].arrival);
+  EXPECT_EQ(second.admitted, 1);
+  // The second tick starts when the first ends, before the giant prompt
+  // has produced its first token.
+  EXPECT_LT(first.duration, result.requests[0].first_token_time);
 }
 
 TEST_F(EngineTest, ContinuousStreamingRunRetiresAndMatchesVectorPath) {
-  // The tick-native mode composes with the lazy streaming path: stream-fed
+  // Continuous ticks compose with the lazy streaming path: stream-fed
   // and vector-fed runs of the same trace stay bit-identical.
-  EngineConfig engine = ContinuousTickConfig();
+  EngineConfig engine;
   engine.retire_finished = true;
   engine.record_iterations = false;
   VllmSpecScheduler s1(VllmSpecConfig{.spec_len = 4});
@@ -240,8 +269,7 @@ TEST_F(EngineTest, ContinuousStreamingRunRetiresAndMatchesVectorPath) {
   const EngineResult streamed = exp_.Run(s1, *stream, engine);
 
   VllmSpecScheduler s2(VllmSpecConfig{.spec_len = 4});
-  const EngineResult vector_fed =
-      exp_.Run(s2, SmallMixedWorkload(exp_), ContinuousTickConfig());
+  const EngineResult vector_fed = exp_.Run(s2, SmallMixedWorkload(exp_));
   EXPECT_EQ(streamed.metrics.finished, vector_fed.metrics.finished);
   EXPECT_EQ(streamed.metrics.GoodputTps(), vector_fed.metrics.GoodputTps());
   EXPECT_EQ(streamed.end_time, vector_fed.end_time);

@@ -1,10 +1,9 @@
 // Golden-metrics regression test: every cell of AllGoldenCells() — the
-// MainComparisonSet systems across the real-trace/bursty/diurnal corpus
-// (both serving modes) and the stress-scenario corpus (flash crowd,
-// tenant flood, long-prompt poisoning, correlated bursts; tick-native),
-// plus VTC under the tenant flood — runs its canonical fixed-seed
-// workload, and its key metrics must byte-match the checked-in baseline
-// under tests/golden/.
+// MainComparisonSet systems across the real-trace, bursty, diurnal and
+// stress scenarios (flash crowd, tenant flood, long-prompt poisoning,
+// correlated bursts), plus VTC under the tenant flood — runs its
+// canonical fixed-seed workload, and its key metrics must byte-match the
+// checked-in baseline under tests/golden/.
 //
 // Regenerate baselines after an intentional behavior change with:
 //   ./golden_test --update_golden
@@ -82,7 +81,7 @@ bool RegenerateAllGoldens(const Experiment& exp, int threads) {
   std::vector<std::function<Written()>> tasks;
   for (const GoldenCell& cell : AllGoldenCells()) {
     tasks.push_back([&exp, cell] {
-      const EngineResult result = RunGoldenSystem(exp, cell.kind, {}, cell.scenario, cell.mode);
+      const EngineResult result = RunGoldenSystem(exp, cell.kind, {}, cell.scenario);
       return Written{GoldenPath(cell), GoldenMetricsText(cell.kind, result.metrics)};
     });
   }
@@ -104,7 +103,7 @@ void DumpReplayArtifact(const Experiment& exp, const GoldenCell& cell) {
   const std::string dir = env != nullptr && *env != '\0' ? env : "replay_artifacts";
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  const RecordedRun run = RecordGoldenRun(exp, cell.kind, {}, cell.scenario, cell.mode);
+  const RecordedRun run = RecordGoldenRun(exp, cell.kind, {}, cell.scenario);
   const std::string path = dir + "/" + cell.Filename() + ".replay";
   std::string error;
   if (WriteReplayArtifact(path, run.artifact, &error)) {
@@ -116,7 +115,7 @@ void DumpReplayArtifact(const Experiment& exp, const GoldenCell& cell) {
 }
 
 void CheckAgainstBaseline(const Experiment& exp, const GoldenCell& cell) {
-  const EngineResult result = RunGoldenSystem(exp, cell.kind, {}, cell.scenario, cell.mode);
+  const EngineResult result = RunGoldenSystem(exp, cell.kind, {}, cell.scenario);
   ASSERT_GT(result.metrics.finished, 0) << SystemName(cell.kind) << " finished nothing";
   const std::string actual = GoldenMetricsText(cell.kind, result.metrics);
   const std::string path = GoldenPath(cell);
@@ -171,7 +170,7 @@ TEST(GoldenCorpusTest, NoOrphanBaselines) {
 }
 
 // Always-on half of the parallel-regeneration guarantee: recomputing the
-// kRealTrace corpus (both modes) through a 4-thread SweepRunner must
+// kRealTrace corpus through a 4-thread SweepRunner must
 // byte-match the checked-in baselines, which the parameterized cases above
 // prove equal to serial recomputation. Streaming scenarios are covered by
 // the --update_golden flow, which writes in parallel and verifies serially.
@@ -183,19 +182,12 @@ TEST(GoldenRegenerationTest, ParallelRecomputationMatchesBaselines) {
   };
   std::vector<GoldenCell> cells;
   for (SystemKind kind : MainComparisonSet()) {
-    cells.push_back({kind, GoldenScenario::kRealTrace, GoldenMode::kTickNative});
-  }
-  // The boundary corpus is the frozen legacy reference (AllGoldenCells):
-  // the deadline-theoretic baselines are tick-native-only there.
-  for (SystemKind kind :
-       {SystemKind::kAdaServe, SystemKind::kSarathi, SystemKind::kVllm, SystemKind::kVllmSpec4,
-        SystemKind::kVllmSpec6, SystemKind::kVllmSpec8}) {
-    cells.push_back({kind, GoldenScenario::kRealTrace, GoldenMode::kBoundary});
+    cells.push_back({kind, GoldenScenario::kRealTrace});
   }
   std::vector<std::function<Cell()>> tasks;
   for (const GoldenCell& cell : cells) {
     tasks.push_back([&exp, cell] {
-      const EngineResult result = RunGoldenSystem(exp, cell.kind, {}, cell.scenario, cell.mode);
+      const EngineResult result = RunGoldenSystem(exp, cell.kind, {}, cell.scenario);
       return Cell{cell, GoldenMetricsText(cell.kind, result.metrics)};
     });
   }

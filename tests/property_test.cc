@@ -9,13 +9,13 @@
 namespace adaserve {
 namespace {
 
-// (system, trace seed, tick-native continuous mode?)
-using PropertyParams = std::tuple<SystemKind, uint64_t, bool>;
+// (system, trace seed)
+using PropertyParams = std::tuple<SystemKind, uint64_t>;
 
 class ServingProperties : public ::testing::TestWithParam<PropertyParams> {};
 
 TEST_P(ServingProperties, InvariantsHoldEndToEnd) {
-  const auto [kind, seed, continuous] = GetParam();
+  const auto [kind, seed] = GetParam();
   Experiment exp(TestSetup());
   TraceConfig trace;
   trace.duration = 6.0;
@@ -44,19 +44,16 @@ TEST_P(ServingProperties, InvariantsHoldEndToEnd) {
   ctx.draft_budget = DeriveDraftBudget(exp.target_latency(), exp.draft_latency());
   ctx.rng = &rng;
   ctx.tick.max_active = 256;
-  ctx.tick.continuous = continuous;
-  ctx.tick.max_evictions = continuous ? 4 : 0;
+  ctx.tick.max_evictions = 4;
   // Mirror the engine's policy resolution: the scheduler's own admission
-  // priority in tick-native mode (SLO-aware for AdaServe), FIFO at the
-  // boundary — so the invariants also cover ranked admission and the
-  // SLO-aware eviction path.
-  ctx.tick.admission_priority =
-      continuous ? scheduler->AdmissionPriority() : PriorityPolicy::kFifo;
+  // priority (SLO-aware for AdaServe) — so the invariants also cover
+  // ranked admission and the SLO-aware eviction path.
+  ctx.tick.admission_priority = scheduler->AdmissionPriority();
 
   SimTime now = 0.0;
   size_t next = 0;
   // Arrival injection shared between the driver loop and the scheduler's
-  // mid-tick admission phase (continuous mode).
+  // mid-tick admission phase.
   auto pull_arrivals = [&](SimTime t) {
     int pulled = 0;
     while (next < workload.size() && workload[next].arrival <= t) {
@@ -127,7 +124,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          SystemKind::kSarathi, SystemKind::kVllmSpec6,
                                          SystemKind::kVllmPriority, SystemKind::kFastServe,
                                          SystemKind::kVtc),
-                       ::testing::Values(1u, 2u, 3u), ::testing::Bool()),
+                       ::testing::Values(1u, 2u, 3u)),
     [](const ::testing::TestParamInfo<PropertyParams>& info) {
       std::string name(SystemName(std::get<0>(info.param)));
       for (char& c : name) {
@@ -135,8 +132,7 @@ INSTANTIATE_TEST_SUITE_P(
           c = '_';
         }
       }
-      return name + "_seed" + std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_continuous" : "_boundary");
+      return name + "_seed" + std::to_string(std::get<1>(info.param));
     });
 
 // --- stress-scenario properties ----------------------------------------------

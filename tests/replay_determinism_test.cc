@@ -1,6 +1,6 @@
 // Record/replay determinism suite: for every MainComparisonSet system the
 // recorded artifact of a run must re-execute byte-identically
-// (GoldenMetricsText) in tick-native mode, on the streaming path, and for
+// (GoldenMetricsText) on the vector path, on the streaming path, and for
 // every replica of a 2-replica cluster run; artifact serialization
 // round-trips exactly; an injected single-bit corruption is detected with
 // the correct first-divergent-tick; and an artifact that could not be
@@ -51,8 +51,7 @@ TEST_P(ReplayDeterminismTest, TickNativeRecordReplayByteIdentical) {
 // retirement) records and replays identically too.
 TEST_P(ReplayDeterminismTest, StreamingRecordReplayByteIdentical) {
   const SystemKind kind = GetParam();
-  const RecordedRun run =
-      RecordGoldenRun(*exp_, kind, {}, GoldenScenario::kFlashCrowd, GoldenMode::kTickNative);
+  const RecordedRun run = RecordGoldenRun(*exp_, kind, {}, GoldenScenario::kFlashCrowd);
   ASSERT_GT(run.result.metrics.finished, 0);
   const ReplayOutcome outcome = ReplayRun(run.artifact);
   ASSERT_TRUE(outcome.ok) << outcome.divergence->Summary();
@@ -131,6 +130,15 @@ TEST(ReplayArtifactTest, TruncationAndVersionMismatchAreParseErrors) {
   future.replace(0, header.size(), "adaserve_replay_schema: 999");
   EXPECT_FALSE(ParseReplayArtifact(future, &parsed, &error));
   EXPECT_NE(error.find("unsupported replay schema"), std::string::npos) << error;
+
+  // Schema 3 (the last one with the boundary-mode header key) is refused
+  // by version rather than misparsed.
+  ASSERT_EQ(kReplaySchemaVersion, 4);
+  std::string v3 = text;
+  v3.replace(0, header.size(), "adaserve_replay_schema: 3");
+  error.clear();
+  EXPECT_FALSE(ParseReplayArtifact(v3, &parsed, &error));
+  EXPECT_NE(error.find("unsupported replay schema 3"), std::string::npos) << error;
 }
 
 // A single flipped bit in a recorded tick is caught, and the divergence

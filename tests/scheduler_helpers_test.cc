@@ -48,42 +48,6 @@ TEST_F(SchedulerHelpersTest, RunningAndPrefillingPartitions) {
   EXPECT_EQ(RunningRequests(pool_).size(), 1u);
 }
 
-TEST_F(SchedulerHelpersTest, FullPrefillIterationCompletesPromptsAndEmitsFirstToken) {
-  AddAndAdmit(2);
-  IterationRecord record;
-  ASSERT_TRUE(RunFullPrefillIteration(0.0, pool_, ctx_, 4096, record));
-  EXPECT_EQ(record.prefill_tokens, 128);
-  EXPECT_GT(record.duration, 0.0);
-  EXPECT_EQ(record.committed_tokens, 2);
-  for (RequestId id : {RequestId{0}, RequestId{1}}) {
-    EXPECT_TRUE(pool_.Get(id).PrefillDone());
-    EXPECT_EQ(pool_.Get(id).output_len(), 1);
-    EXPECT_NEAR(pool_.Get(id).first_token_time, record.duration, 1e-12);
-  }
-}
-
-TEST_F(SchedulerHelpersTest, FullPrefillRespectsTokenCap) {
-  AddAndAdmit(3, /*prompt_len=*/100);
-  IterationRecord record;
-  ASSERT_TRUE(RunFullPrefillIteration(0.0, pool_, ctx_, /*max_prefill_tokens=*/250, record));
-  EXPECT_EQ(record.prefill_tokens, 200);  // two whole prompts fit, not three
-  EXPECT_EQ(PrefillingRequests(pool_).size(), 1u);
-}
-
-TEST_F(SchedulerHelpersTest, OversizedPromptStillProgresses) {
-  AddAndAdmit(1, /*prompt_len=*/5000);
-  IterationRecord record;
-  ASSERT_TRUE(RunFullPrefillIteration(0.0, pool_, ctx_, /*max_prefill_tokens=*/1000, record));
-  EXPECT_EQ(record.prefill_tokens, 5000);  // at least one prompt always runs
-}
-
-TEST_F(SchedulerHelpersTest, NoPrefillWorkReturnsFalse) {
-  AddAndAdmit(1);
-  pool_.AdvancePrefill(0, 64);
-  IterationRecord record;
-  EXPECT_FALSE(RunFullPrefillIteration(0.0, pool_, ctx_, 4096, record));
-}
-
 TEST_F(SchedulerHelpersTest, DecodeIterationCommitsOneTokenEach) {
   AddAndAdmit(3);
   for (RequestId id : {RequestId{0}, RequestId{1}, RequestId{2}}) {
@@ -199,8 +163,7 @@ TEST_F(SchedulerHelpersTest, MidTickAdmitPullsDueArrivalsAndAdmits) {
 TEST_F(SchedulerHelpersTest, ContinuousTickAdmitsMidTickAndPrefillsSameTick) {
   // r0 is running; r1 arrives strictly after the tick starts but before
   // the decode phase ends, so the tick admits it mid-flight and its
-  // prompt gets a burst-capped prefill pass in the same tick — the
-  // admission latency the drain loop could not avoid.
+  // prompt gets a burst-capped prefill pass in the same tick.
   std::vector<Request> reqs = UniformWorkload(exp_, 2, kCatChat, 0.0, /*prompt_len=*/64);
   reqs[1].arrival = 1e-6;
   pool_.AddArrival(reqs[0]);
@@ -217,7 +180,6 @@ TEST_F(SchedulerHelpersTest, ContinuousTickAdmitsMidTickAndPrefillsSameTick) {
     return pulled;
   };
   ctx_.tick.max_active = 100;
-  ctx_.tick.continuous = true;
   ctx_.tick.prefill_burst = 16;
   ctx_.verify_budget = 64;
   const TickResult tick = RunContinuousTick(

@@ -1,8 +1,8 @@
-// SLO-aware admission priority and tick-native edge cases.
+// SLO-aware admission priority and tick edge cases.
 //
-// Covers the tick-native default's new policy surface: per-category
-// admission priorities (PriorityPolicy::kSloUrgentFirst) at the boundary
-// and mid-tick admission phases, the SLO-aware evict-for-admission victim
+// Covers the tick's policy surface: per-category admission priorities
+// (PriorityPolicy::kSloUrgentFirst) at the boundary and mid-tick
+// admission phases, the SLO-aware evict-for-admission victim
 // policy, and the tick edge cases around prefill_burst = 0, eviction
 // budgets smaller than the victim set, and arrivals landing exactly on a
 // phase boundary. The headline test is the paper's claim: under a bursty
@@ -344,7 +344,6 @@ class TickEdgeCaseTest : public ::testing::Test {
     ctx_.mode = DecodeMode::kStochastic;
     ctx_.rng = &rng_;
     ctx_.tick.max_active = 100;
-    ctx_.tick.continuous = true;
   }
 
   Experiment exp_;
@@ -491,35 +490,6 @@ TEST_F(PriorityPolicyEngineTest, SchedulerDefaultsResolveWhenConfigUnset) {
   const EngineResult vllm_b = exp_.Run(vllm_forced, workload, force_fifo);
   EXPECT_EQ(GoldenMetricsText(SystemKind::kVllm, vllm_a.metrics),
             GoldenMetricsText(SystemKind::kVllm, vllm_b.metrics));
-}
-
-// Boundary mode ignores priority entirely — even a forced kSloUrgentFirst
-// stays byte-identical to the FIFO drain loop, because the legacy-golden
-// guarantee would otherwise silently break.
-TEST_F(PriorityPolicyEngineTest, BoundaryModeIgnoresPriorityPolicy) {
-  const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  VllmScheduler s1;
-  const EngineResult plain = exp_.Run(s1, workload, BoundaryTickConfig());
-  VllmScheduler s2;
-  EngineConfig forced = BoundaryTickConfig();
-  forced.tick.admission_priority = PriorityPolicy::kSloUrgentFirst;
-  const EngineResult with_priority = exp_.Run(s2, workload, forced);
-  EXPECT_EQ(GoldenMetricsText(SystemKind::kVllm, plain.metrics),
-            GoldenMetricsText(SystemKind::kVllm, with_priority.metrics));
-  EXPECT_EQ(plain.end_time, with_priority.end_time);
-
-  // Flipping only tick.continuous off — leaving the now-default
-  // eviction budget and any priority default in place — must be the
-  // same legacy path as the full BoundaryTickConfig(): the engine
-  // neutralizes every tick-native knob at the boundary.
-  VllmScheduler s3;
-  EngineConfig hand_rolled;
-  hand_rolled.tick.continuous = false;
-  const EngineResult minimal = exp_.Run(s3, workload, hand_rolled);
-  EXPECT_EQ(GoldenMetricsText(SystemKind::kVllm, plain.metrics),
-            GoldenMetricsText(SystemKind::kVllm, minimal.metrics));
-  EXPECT_EQ(plain.end_time, minimal.end_time);
-  EXPECT_EQ(minimal.metrics.evictions, 0);
 }
 
 }  // namespace
