@@ -14,15 +14,15 @@ void RunModel(const Setup& setup, const std::vector<double>& rps_grid, const Ben
               BenchJson& json, SweepRunner& runner) {
   std::cout << "\n" << setup.label << "\n";
   TablePrinter table({"System", "RPS", "SLO Attainment(%)", "Cat1(%)", "Cat2(%)", "Cat3(%)"});
-  // Lazy trace + per-cell prefetch thread: generation overlaps serving and
-  // the cell never materializes its trace. Metrics match the vector path
-  // byte-for-byte (streaming_equivalence_test).
-  const std::vector<SweepCellResult> cells = RunSetupStreamSweep(
-      runner, setup, MainComparisonSet(), GridFor(args, rps_grid),
-      [&args](const Experiment& exp, double rps) {
-        return exp.RealTraceStream(SweepDurationFor(args), rps, PeakMix());
-      });
-  for (const SweepCellResult& p : cells) {
+  // Lazy trace: the cell never materializes it. Metrics match the vector
+  // path byte-for-byte (streaming_equivalence_test).
+  const std::vector<CellResult> cells =
+      RunCells(runner, SystemGrid(setup, MainComparisonSet(), GridFor(args, rps_grid),
+                                  [&args](const Experiment& exp, double rps) {
+                                    return exp.RealTraceStream(SweepDurationFor(args), rps,
+                                                               PeakMix());
+                                  }));
+  for (const CellResult& p : cells) {
     const Metrics& m = p.result.metrics;
     table.AddRow({std::string(SystemName(p.system)), Fmt(p.x, 1), FmtPct(m.AttainmentPct()),
                   FmtPct(m.per_category[0].AttainmentPct()),

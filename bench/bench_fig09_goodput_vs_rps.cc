@@ -12,24 +12,33 @@ namespace {
 // recorded without --seeds still gate.
 void RunSeedErrorBars(const Setup& setup, const std::vector<double>& rps_grid,
                       const BenchArgs& args, BenchJson& json, SweepRunner& runner) {
-  std::vector<uint64_t> seeds;
-  for (int s = 0; s < args.seeds; ++s) {
-    seeds.push_back(42 + static_cast<uint64_t>(s));
-  }
   std::cout << "\n" << setup.label << " (" << args.seeds << "-seed error bars)\n";
   TablePrinter table({"System", "RPS", "Goodput(tok/s)", "+/-", "Attainment(%)", "+/-"});
-  const std::vector<SeedShardCell> cells = RunSeedShardedSweep(
-      runner, setup, MainComparisonSet(), GridFor(args, rps_grid), seeds,
-      [&args](const Experiment& exp, double rps, uint64_t seed) {
-        return exp.RealTraceWorkload(SweepDurationFor(args), rps, PeakMix(), seed);
-      });
-  for (const SeedShardCell& c : cells) {
+  // One cell per (x, system, seed) shard, seeds innermost.
+  std::vector<Cell> cells;
+  for (double rps : GridFor(args, rps_grid)) {
+    for (SystemKind system : MainComparisonSet()) {
+      for (int s = 0; s < args.seeds; ++s) {
+        const uint64_t seed = 42 + static_cast<uint64_t>(s);
+        cells.push_back({setup, system,
+                         [&args, rps, seed](const Experiment& exp) {
+                           return exp.RealTraceWorkload(SweepDurationFor(args), rps, PeakMix(),
+                                                        seed);
+                         },
+                         {}, rps});
+      }
+    }
+  }
+  for (const SeedAggregate& c :
+       AggregateSeeds(RunCells(runner, cells), static_cast<size_t>(args.seeds))) {
     const std::string system(SystemName(c.system));
-    table.AddRow({system, Fmt(c.x, 1), Fmt(c.goodput_tps.mean(), 1), Fmt(c.GoodputErrTps(), 1),
-                  FmtPct(c.attainment_pct.mean()), Fmt(c.AttainmentErrPct(), 1)});
+    const double goodput_err = c.goodput_tps.SampleStddev();
+    const double attainment_err = c.attainment_pct.SampleStddev();
+    table.AddRow({system, Fmt(c.x, 1), Fmt(c.goodput_tps.mean(), 1), Fmt(goodput_err, 1),
+                  FmtPct(c.attainment_pct.mean()), Fmt(attainment_err, 1)});
     json.Add(setup.label, system, "goodput_mean_tps", c.x, c.goodput_tps.mean());
-    json.Add(setup.label, system, "goodput_err_tps", c.x, c.GoodputErrTps());
-    json.Add(setup.label, system, "attainment_err_pct", c.x, c.AttainmentErrPct());
+    json.Add(setup.label, system, "goodput_err_tps", c.x, goodput_err);
+    json.Add(setup.label, system, "attainment_err_pct", c.x, attainment_err);
   }
   table.Print(std::cout);
 }
@@ -38,15 +47,15 @@ void RunModel(const Setup& setup, const std::vector<double>& rps_grid, const Ben
               BenchJson& json, SweepRunner& runner) {
   std::cout << "\n" << setup.label << "\n";
   TablePrinter table({"System", "RPS", "Goodput(tok/s)", "Throughput(tok/s)"});
-  // Lazy trace + per-cell prefetch thread: generation overlaps serving and
-  // the cell never materializes its trace. Metrics match the vector path
-  // byte-for-byte (streaming_equivalence_test).
-  const std::vector<SweepCellResult> cells = RunSetupStreamSweep(
-      runner, setup, MainComparisonSet(), GridFor(args, rps_grid),
-      [&args](const Experiment& exp, double rps) {
-        return exp.RealTraceStream(SweepDurationFor(args), rps, PeakMix());
-      });
-  for (const SweepCellResult& p : cells) {
+  // Lazy trace: the cell never materializes it. Metrics match the vector
+  // path byte-for-byte (streaming_equivalence_test).
+  const std::vector<CellResult> cells =
+      RunCells(runner, SystemGrid(setup, MainComparisonSet(), GridFor(args, rps_grid),
+                                  [&args](const Experiment& exp, double rps) {
+                                    return exp.RealTraceStream(SweepDurationFor(args), rps,
+                                                               PeakMix());
+                                  }));
+  for (const CellResult& p : cells) {
     const Metrics& m = p.result.metrics;
     table.AddRow({std::string(SystemName(p.system)), Fmt(p.x, 1), Fmt(m.GoodputTps(), 1),
                   Fmt(m.ThroughputTps(), 1)});

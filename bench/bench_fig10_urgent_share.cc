@@ -15,14 +15,14 @@ void RunModel(const Setup& setup, const BenchArgs& args, BenchJson& json, SweepR
   std::cout << "\n" << setup.label << " (4.0 req/s)\n";
   TablePrinter table(
       {"System", "Urgent(%)", "SLO Attainment(%)", "Goodput(tok/s)", "Cat1(%)"});
-  const std::vector<SweepCellResult> cells = RunSetupSweep(
-      runner, setup, MainComparisonSet(), GridFor(args, {0.3, 0.5, 0.7, 0.9}),
+  const std::vector<CellResult> cells = RunCells(runner, SystemGrid(
+      setup, MainComparisonSet(), GridFor(args, {0.3, 0.5, 0.7, 0.9}),
       [&args](const Experiment& exp, double urgent) {
         const double rest = (1.0 - urgent) / 2.0;
         return exp.RealTraceWorkload(SweepDurationFor(args), 4.0,
                                      WorkloadConfig{.mix = {urgent, rest, rest}});
-      });
-  for (const SweepCellResult& p : cells) {
+      }));
+  for (const CellResult& p : cells) {
     const Metrics& m = p.result.metrics;
     table.AddRow({std::string(SystemName(p.system)), Fmt(p.x * 100.0, 0),
                   FmtPct(m.AttainmentPct()), Fmt(m.GoodputTps(), 1),

@@ -15,16 +15,16 @@ namespace {
 void RunModel(const Setup& setup, const BenchArgs& args, BenchJson& json, SweepRunner& runner) {
   std::cout << "\n" << setup.label << " (4.0 req/s, 60% urgent)\n";
   TablePrinter table({"System", "SLO scale", "SLO Attainment(%)", "Goodput(tok/s)", "Cat1(%)"});
-  const std::vector<SweepCellResult> cells = RunSetupSweep(
-      runner, setup, MainComparisonSet(), GridFor(args, {1.6, 1.4, 1.2, 1.0, 0.8, 0.6}),
+  const std::vector<CellResult> cells = RunCells(runner, SystemGrid(
+      setup, MainComparisonSet(), GridFor(args, {1.6, 1.4, 1.2, 1.0, 0.8, 0.6}),
       [&args](const Experiment& exp, double scale) {
         const CategoryConfig cat_config{.cat1_slo_scale = scale};
         TraceConfig trace;
         trace.duration = SweepDurationFor(args);
         trace.mean_rps = 4.0;
         return BuildWorkload(exp.Categories(cat_config), RealShapedArrivals(trace), PeakMix());
-      });
-  for (const SweepCellResult& p : cells) {
+      }));
+  for (const CellResult& p : cells) {
     const Metrics& m = p.result.metrics;
     table.AddRow({std::string(SystemName(p.system)), Fmt(p.x, 1), FmtPct(m.AttainmentPct()),
                   Fmt(m.GoodputTps(), 1), FmtPct(m.per_category[0].AttainmentPct())});

@@ -16,12 +16,12 @@ void RunModel(const Setup& setup, const std::vector<double>& rps_grid, const Ben
   const std::vector<SystemKind> systems = {SystemKind::kAdaServe, SystemKind::kVllmSpec4,
                                            SystemKind::kVllmSpec6, SystemKind::kVllmSpec8};
   TablePrinter table({"System", "RPS", "Mean accepted tokens"});
-  const std::vector<SweepCellResult> cells = RunSetupSweep(
-      runner, setup, systems, GridFor(args, rps_grid),
+  const std::vector<CellResult> cells = RunCells(runner, SystemGrid(
+      setup, systems, GridFor(args, rps_grid),
       [&args](const Experiment& exp, double rps) {
         return exp.RealTraceWorkload(SweepDurationFor(args), rps, PeakMix());
-      });
-  for (const SweepCellResult& p : cells) {
+      }));
+  for (const CellResult& p : cells) {
     table.AddRow({std::string(SystemName(p.system)), Fmt(p.x, 1),
                   Fmt(p.result.metrics.mean_accepted, 2)});
     json.Add(setup.label, std::string(SystemName(p.system)), "mean_accepted", p.x,

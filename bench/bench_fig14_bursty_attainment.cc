@@ -22,12 +22,12 @@ void RunModel(const Setup& setup, const BenchArgs& args, BenchJson& json, SweepR
   const double duration = args.smoke ? 40.0 : 120.0;
   std::cout << "\n" << setup.label << "\n";
   TablePrinter table({"System", "SLO Attainment(%)", "Cat1(%)", "Cat2(%)", "Cat3(%)"});
-  const std::vector<SweepCellResult> cells = RunSetupSweep(
-      runner, setup, MainComparisonSet(), {0.0},
+  const std::vector<CellResult> cells = RunCells(runner, SystemGrid(
+      setup, MainComparisonSet(), {0.0},
       [duration](const Experiment& exp, double /*x*/) {
         return BuildBurstyWorkload(exp.Categories(), Fig13Bursts(), duration, /*seed=*/100);
-      });
-  for (const SweepCellResult& p : cells) {
+      }));
+  for (const CellResult& p : cells) {
     const Metrics& m = p.result.metrics;
     table.AddRow({std::string(SystemName(p.system)), FmtPct(m.AttainmentPct()),
                   FmtPct(m.per_category[0].AttainmentPct()),

@@ -46,13 +46,15 @@ int Run(const BenchArgs& args) {
                                                         "goodput(tok/s)", "recovery(s)"}
                              : std::vector<std::string>{"system", "finished", "attain(%)",
                                                         "goodput(tok/s)"});
-    const std::vector<SweepCellResult> cells = RunSetupStreamSweep(
-        runner, QwenSetup(), SystemsFor(scenario), {0.0},
-        [scenario, duration](const Experiment& exp, double /*x*/) {
-          return MakeStressStream(exp.Categories(), scenario, duration, kScenarioSeed);
-        },
-        engine);
-    for (const SweepCellResult& cell : cells) {
+    const std::vector<CellResult> cells = RunCells(
+        runner, SystemGrid(
+                    QwenSetup(), SystemsFor(scenario), {0.0},
+                    [scenario, duration](const Experiment& exp, double /*x*/) {
+                      return MakeStressStream(exp.Categories(), scenario, duration,
+                                              kScenarioSeed);
+                    },
+                    engine));
+    for (const CellResult& cell : cells) {
       const Metrics& m = cell.result.metrics;
       const std::string system(SystemName(cell.system));
       json.Add(slug, system, "finished", 0.0, static_cast<double>(m.finished));

@@ -14,11 +14,15 @@
 // --time_abs_tol), because wall clock varies across machines where the
 // deterministic metrics do not. Improvements beyond tolerance are
 // reported as a hint to refresh the baseline but do not fail the gate.
-// Exit codes: 0 ok, 1 regression / missing rows, 2 usage or parse error.
+// A non-finite candidate value (nan, inf) is always a regression; a
+// non-finite baseline value is a parse error.
+// Exit codes: 0 ok, 1 regression / missing rows, 2 usage or parse error
+// (including a malformed tolerance or an unknown flag).
 //
 // The parser handles exactly the flat document BenchJson emits — an
 // object with a "rows" array of one-line objects — so no JSON library is
 // needed.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -26,9 +30,14 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: perf_diff <baseline.json> <candidate.json> [--rel_tol 0.05] [--abs_tol 2.0]"
+    " [--time_rel_tol 1.0] [--time_abs_tol 5.0]\n";
 
 struct Row {
   std::string model;
@@ -95,6 +104,14 @@ bool ParseRows(const std::string& path, std::vector<Row>* rows) {
   return true;
 }
 
+// Parses all of `text` as a double with std::from_chars (no trailing
+// junk, no locale).
+bool ParseWholeDouble(const std::string& text, double* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
 std::string RowKey(const Row& row) {
   char x[32];
   std::snprintf(x, sizeof(x), "%.6f", row.x);
@@ -121,22 +138,26 @@ int main(int argc, char** argv) {
   double time_abs_tol = 5.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--rel_tol" && i + 1 < argc) {
-      rel_tol = std::atof(argv[++i]);
-    } else if (arg == "--abs_tol" && i + 1 < argc) {
-      abs_tol = std::atof(argv[++i]);
-    } else if (arg == "--time_rel_tol" && i + 1 < argc) {
-      time_rel_tol = std::atof(argv[++i]);
-    } else if (arg == "--time_abs_tol" && i + 1 < argc) {
-      time_abs_tol = std::atof(argv[++i]);
+    double* tol = arg == "--rel_tol"        ? &rel_tol
+                  : arg == "--abs_tol"      ? &abs_tol
+                  : arg == "--time_rel_tol" ? &time_rel_tol
+                  : arg == "--time_abs_tol" ? &time_abs_tol
+                                            : nullptr;
+    if (tol != nullptr) {
+      const std::string value = i + 1 < argc ? argv[++i] : "";
+      if (!ParseWholeDouble(value, tol) || !std::isfinite(*tol) || *tol < 0.0) {
+        std::cerr << "perf_diff: invalid " << arg << ": '" << value << "'\n" << kUsage;
+        return 2;
+      }
+    } else if (arg.rfind("--", 0) == 0) {
+      std::cerr << "perf_diff: unknown flag " << arg << "\n" << kUsage;
+      return 2;
     } else {
       paths.push_back(arg);
     }
   }
   if (paths.size() != 2) {
-    std::cerr << "usage: perf_diff <baseline.json> <candidate.json>"
-              << " [--rel_tol 0.05] [--abs_tol 2.0]"
-              << " [--time_rel_tol 1.0] [--time_abs_tol 5.0]\n";
+    std::cerr << kUsage;
     return 2;
   }
   std::vector<Row> baseline;
@@ -148,6 +169,13 @@ int main(int argc, char** argv) {
     std::cerr << "perf_diff: baseline " << paths[0] << " has no rows\n";
     return 2;
   }
+  for (const Row& base : baseline) {
+    if (!std::isfinite(base.value)) {
+      std::cerr << "perf_diff: baseline " << paths[0] << " has non-finite value "
+                << base.value << " at " << RowKey(base) << "\n";
+      return 2;
+    }
+  }
 
   int regressions = 0;
   int improvements = 0;
@@ -155,6 +183,13 @@ int main(int argc, char** argv) {
     const Row* cand = FindMatch(candidate, base);
     if (cand == nullptr) {
       std::cout << "MISSING    " << RowKey(base) << " (present in baseline only)\n";
+      ++regressions;
+      continue;
+    }
+    // NaN compares false against any slack, so it must be caught up front.
+    if (!std::isfinite(cand->value)) {
+      std::printf("REGRESSION %s: %.3f -> %f (non-finite candidate value)\n",
+                  RowKey(base).c_str(), base.value, cand->value);
       ++regressions;
       continue;
     }

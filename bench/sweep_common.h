@@ -1,19 +1,21 @@
 // Shared sweep machinery for the end-to-end comparison benches
 // (Figs. 8, 9, 12 share the RPS sweep; Figs. 10, 11 fix RPS and vary one
-// workload knob). The sweep benches fan their (system × point) grids out
-// over SweepRunner (src/harness/sweep_runner.h); --threads controls the
-// worker count and --threads 1 reproduces the historical serial path
-// exactly (metrics are byte-identical at any thread count — pinned by
-// tests/sweep_parallel_equivalence_test.cc).
+// workload knob). The sweep benches build their (system × point) grids as
+// Cells and run them with RunCells (src/harness/sweep_runner.h);
+// --threads controls the worker count and --threads 1 runs every cell
+// inline in order (metrics are byte-identical at any thread count —
+// pinned by tests/sweep_parallel_equivalence_test.cc).
 #ifndef ADASERVE_BENCH_SWEEP_COMMON_H_
 #define ADASERVE_BENCH_SWEEP_COMMON_H_
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/adaserve.h"
@@ -38,8 +40,8 @@ struct SweepPoint {
 };
 
 // Serial reference: runs every system in `systems` over `workload` under
-// `exp`, sharing one Experiment and one workload. The benches now sweep
-// through SweepRunner instead; this stays as the one-Experiment oracle the
+// `exp`, sharing one Experiment and one workload. The benches run cells
+// through RunCells instead; this stays as the one-Experiment oracle the
 // parallel-equivalence test compares against.
 inline std::vector<SweepPoint> RunAllSystems(const Experiment& exp,
                                              const std::vector<Request>& workload, double x,
@@ -70,7 +72,7 @@ struct BenchArgs {
   int threads = 0;
   // --seeds N (or --seeds=N): benches that support variance studies rerun
   // their sweep over N trace seeds and emit mean / sample-stddev error-bar
-  // rows (RunSeedShardedSweep). 1 (default) skips the error-bar pass.
+  // rows (AggregateSeeds). 1 (default) skips the error-bar pass.
   int seeds = 1;
   // --admission: benches that support it (bench_fig01_motivation) run the
   // admission-priority ablation — FIFO vs SLO-urgent recompute eviction vs
@@ -79,33 +81,66 @@ struct BenchArgs {
   bool admission = false;
 };
 
+// Prints `invalid <flag>: <value>` and the usage line, then exits 2.
+[[noreturn]] inline void RejectBenchArg(const char* program, const std::string& flag,
+                                        const std::string& value) {
+  std::cerr << "invalid " << flag << ": " << value << "\n"
+            << "usage: " << program
+            << " [--smoke] [--admission] [--threads N] [--seeds N] [--json PATH]\n";
+  std::exit(2);
+}
+
+// Parses all of `text` as an int with std::from_chars (no trailing junk,
+// no locale).
+inline bool ParseWholeInt(const std::string& text, int* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+// Strict: a malformed value, a negative --threads, --seeds < 1, a --json
+// without a path, or an unknown flag exits 2 via RejectBenchArg.
 inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      args.smoke = true;
-    } else if (arg == "--admission") {
-      args.admission = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      args.json_path = argv[++i];
-    } else if (arg.rfind("--json=", 0) == 0) {
-      args.json_path = arg.substr(7);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      args.threads = std::atoi(argv[++i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      args.threads = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--seeds" && i + 1 < argc) {
-      args.seeds = std::atoi(argv[++i]);
-    } else if (arg.rfind("--seeds=", 0) == 0) {
-      args.seeds = std::atoi(arg.c_str() + 8);
+    std::string flag = argv[i];
+    std::string value;
+    bool has_value = false;
+    if (const size_t eq = flag.find('='); flag.rfind("--", 0) == 0 && eq != std::string::npos) {
+      value = flag.substr(eq + 1);
+      flag.resize(eq);
+      has_value = true;
     }
-  }
-  if (args.threads < 0) {
-    args.threads = 0;
-  }
-  if (args.seeds < 1) {
-    args.seeds = 1;
+    // Flags that take a value accept both `--flag V` and `--flag=V`.
+    const auto take_value = [&] {
+      if (!has_value) {
+        if (i + 1 >= argc) {
+          RejectBenchArg(argv[0], flag, "missing value");
+        }
+        value = argv[++i];
+      }
+      return value;
+    };
+    if (flag == "--smoke" && !has_value) {
+      args.smoke = true;
+    } else if (flag == "--admission" && !has_value) {
+      args.admission = true;
+    } else if (flag == "--json") {
+      args.json_path = take_value();
+      if (args.json_path.empty()) {
+        RejectBenchArg(argv[0], flag, "missing path");
+      }
+    } else if (flag == "--threads") {
+      if (!ParseWholeInt(take_value(), &args.threads) || args.threads < 0) {
+        RejectBenchArg(argv[0], flag, value);
+      }
+    } else if (flag == "--seeds") {
+      if (!ParseWholeInt(take_value(), &args.seeds) || args.seeds < 1) {
+        RejectBenchArg(argv[0], flag, value);
+      }
+    } else {
+      RejectBenchArg(argv[0], argv[i], "unknown flag");
+    }
   }
   return args;
 }
@@ -196,7 +231,7 @@ class BenchJson {
 
 // Adds the per-point wall-clock row of one finished sweep cell.
 inline void AddCellWallClock(BenchJson& json, const std::string& model,
-                             const SweepCellResult& cell) {
+                             const CellResult& cell) {
   json.Add(model, std::string(SystemName(cell.system)), "wall_clock_s", cell.x,
            cell.wall_clock_s);
 }

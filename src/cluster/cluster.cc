@@ -100,33 +100,31 @@ ClusterResult Cluster::RunPartitioned(SystemKind system,
   for (const std::vector<Request>& p : partitions) {
     routed_counts.push_back(p.size());
   }
-  SweepRunner runner(config_.threads);
-  std::vector<std::function<EngineResult()>> tasks;
-  tasks.reserve(partitions.size());
+  // One sweep cell per replica, each serving its moved-in partition on
+  // its own Experiment and scheduler, so replicas parallelize without
+  // sharing state.
+  std::vector<Cell> cells;
+  cells.reserve(partitions.size());
   for (size_t i = 0; i < partitions.size(); ++i) {
     const ReplicaSpec& spec = config_.replicas[i];
     std::vector<Request>& partition = partitions[i];
-    // Everything the replica simulation touches is task-local: a fresh
-    // Experiment, scheduler, and engine per task (the SweepRunner cell
-    // contract), so replicas parallelize without sharing state.
-    tasks.push_back([&spec, &partition, system] {
-      const Experiment exp(spec.setup);
-      auto scheduler = MakeScheduler(system);
-      return exp.Run(*scheduler, std::move(partition), spec.engine);
-    });
+    cells.push_back({spec.setup, system,
+                     [&partition](const Experiment&) { return std::move(partition); },
+                     spec.engine, 0.0});
   }
-  std::vector<Timed<EngineResult>> timed = runner.Map(tasks);
+  SweepRunner runner(config_.threads);
+  std::vector<CellResult> runs = RunCells(runner, cells);
 
   ClusterResult result;
-  result.replicas.reserve(timed.size());
+  result.replicas.reserve(runs.size());
   std::vector<Metrics> per_replica;
-  per_replica.reserve(timed.size());
-  for (size_t i = 0; i < timed.size(); ++i) {
+  per_replica.reserve(runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
     ReplicaRunResult replica;
     replica.label = config_.replicas[i].setup.label;
     replica.routed = routed_counts[i];
-    replica.wall_clock_s = timed[i].wall_clock_s;
-    replica.result = std::move(timed[i].value);
+    replica.wall_clock_s = runs[i].wall_clock_s;
+    replica.result = std::move(runs[i].result);
     result.end_time = std::max(result.end_time, replica.result.end_time);
     per_replica.push_back(replica.result.metrics);
     result.replicas.push_back(std::move(replica));

@@ -14,8 +14,8 @@
 //      invariant holds by construction; ids are renumbered densely per
 //      replica (the request pool requires dense ids; request content is
 //      keyed by stream_seed, which travels untouched).
-//   2. Replica runs: each replica serves its partition as an independent
-//      SweepRunner task with its own Experiment, scheduler, and engine —
+//   2. Replica runs: each replica serves its partition as one sweep Cell
+//      (RunCells) with its own Experiment, scheduler, and engine —
 //      nothing shared, so any thread count yields byte-identical metrics.
 //   3. Merge: per-replica Metrics fold into a ClusterMetrics aggregate in
 //      replica order (cluster_metrics.h).
@@ -97,8 +97,8 @@ class Cluster {
   std::vector<std::vector<Request>> Partition(ArrivalStream& stream) const;
 
   // Phases 1-3: partition `stream`, run every replica under a fresh
-  // `system` scheduler, merge. Replicas run as independent tasks on a
-  // SweepRunner with config().threads workers.
+  // `system` scheduler, merge. Replicas run as cells on a SweepRunner
+  // with config().threads workers.
   ClusterResult Run(SystemKind system, ArrivalStream& stream) const;
 
   // As above for a pre-partitioned workload (replica i serves

@@ -29,7 +29,7 @@ class RunningStat {
   // Sample (Bessel-corrected, divides by N-1) variance; 0 for fewer than
   // two samples. This is the right estimator when the samples are a
   // handful of seed shards standing in for the seed population — the
-  // cross-seed error bars RunSeedShardedSweep aggregates use it.
+  // cross-seed error bars of AggregateSeeds (sweep_runner.h) use it.
   double SampleVariance() const;
   double SampleStddev() const;
 

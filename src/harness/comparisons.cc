@@ -10,7 +10,6 @@
 #include "src/baselines/vtc.h"
 #include "src/common/logging.h"
 #include "src/core/adaserve_scheduler.h"
-#include "src/harness/sweep_runner.h"
 
 namespace adaserve {
 
@@ -93,35 +92,6 @@ std::vector<SystemKind> MainComparisonSet() {
 std::vector<SystemKind> MotivationSet() {
   return {SystemKind::kVllm, SystemKind::kSarathi, SystemKind::kVllmPriority,
           SystemKind::kFastServe, SystemKind::kVtc};
-}
-
-std::vector<ComparisonPoint> RunComparison(const Experiment& exp,
-                                           const std::vector<SystemKind>& systems,
-                                           const StreamFactory& make_stream,
-                                           const EngineConfig& engine, int threads) {
-  ADASERVE_CHECK(make_stream != nullptr) << "RunComparison needs a stream factory";
-  // Each cell builds its own scheduler and stream; `exp` is shared but
-  // immutable (the synthetic models and latency models are pure functions
-  // of their configs).
-  std::vector<std::function<EngineResult()>> tasks;
-  tasks.reserve(systems.size());
-  for (SystemKind kind : systems) {
-    tasks.push_back([&exp, &make_stream, &engine, kind] {
-      auto scheduler = MakeScheduler(kind);
-      auto stream = make_stream();
-      ADASERVE_CHECK(stream != nullptr) << "stream factory returned null";
-      return exp.Run(*scheduler, *stream, engine);
-    });
-  }
-  SweepRunner runner(threads);
-  std::vector<Timed<EngineResult>> timed = runner.Map(tasks);
-
-  std::vector<ComparisonPoint> points;
-  points.reserve(systems.size());
-  for (size_t i = 0; i < systems.size(); ++i) {
-    points.push_back({systems[i], std::move(timed[i].value), timed[i].wall_clock_s});
-  }
-  return points;
 }
 
 }  // namespace adaserve

@@ -20,6 +20,64 @@ std::string FmtFixed(double v, int digits = 6) {
   return buf;
 }
 
+// The canonical fixed-seed workload of `scenario`: the real-shaped trace
+// as a request vector, every other scenario as a lazy stream.
+WorkloadSource GoldenWorkload(const Experiment& exp, GoldenScenario scenario,
+                              const GoldenConfig& config) {
+  switch (scenario) {
+    case GoldenScenario::kRealTrace:
+      return exp.RealTraceWorkload(config.duration_s, config.mean_rps, WorkloadConfig{},
+                                   config.trace_seed);
+    case GoldenScenario::kBursty: {
+      // ON/OFF MMPP: quiet 1 rps baseline with ~1 s bursts at 8 rps, mean
+      // rate comparable to the real-trace golden so runtimes match.
+      MmppStreamConfig bursty;
+      bursty.mmpp.state_rps = {1.0, 8.0};
+      bursty.mmpp.mean_sojourn_s = {2.0, 1.0};
+      bursty.duration = config.duration_s;
+      bursty.trace_seed = config.trace_seed;
+      return MakeMmppStream(exp.Categories(), bursty);
+    }
+    case GoldenScenario::kDiurnal: {
+      // One compressed "day" per run: the peak lands mid-trace and the
+      // trough bottoms out at 20% of the mean rate.
+      DiurnalStreamConfig diurnal;
+      diurnal.diurnal.period_s = config.duration_s;
+      diurnal.diurnal.peak_phase = 0.55;
+      diurnal.diurnal.amplitude = 0.8;
+      diurnal.duration = config.duration_s;
+      diurnal.mean_rps = config.mean_rps;
+      diurnal.trace_seed = config.trace_seed;
+      return MakeDiurnalStream(exp.Categories(), diurnal);
+    }
+    case GoldenScenario::kFlashCrowd:
+      return MakeStressStream(exp.Categories(), StressScenario::kFlashCrowd, config.duration_s,
+                              config.trace_seed);
+    case GoldenScenario::kTenantFlood:
+      return MakeStressStream(exp.Categories(), StressScenario::kTenantFlood, config.duration_s,
+                              config.trace_seed);
+    case GoldenScenario::kLongPromptPoison:
+      return MakeStressStream(exp.Categories(), StressScenario::kLongPromptPoison,
+                              config.duration_s, config.trace_seed);
+    case GoldenScenario::kCorrelatedBursts:
+      return MakeStressStream(exp.Categories(), StressScenario::kCorrelatedBursts,
+                              config.duration_s, config.trace_seed);
+  }
+  ADASERVE_CHECK(false) << "unknown golden scenario";
+  return std::vector<Request>{};
+}
+
+EngineConfig GoldenEngineConfig(const GoldenConfig& config, GoldenScenario scenario) {
+  EngineConfig engine;
+  engine.sampling_seed = config.sampling_seed;
+  if (scenario != GoldenScenario::kRealTrace) {
+    // Streaming scenarios exercise the full lazy path: bounded arrival
+    // horizon, incremental metrics, finished-request retirement.
+    engine.retire_finished = true;
+  }
+  return engine;
+}
+
 }  // namespace
 
 Setup GoldenSetup() {
@@ -69,75 +127,13 @@ std::vector<GoldenCell> AllGoldenCells() {
   return cells;
 }
 
-std::unique_ptr<ArrivalStream> MakeGoldenStream(const Experiment& exp, GoldenScenario scenario,
-                                                const GoldenConfig& config) {
-  switch (scenario) {
-    case GoldenScenario::kBursty: {
-      // ON/OFF MMPP: quiet 1 rps baseline with ~1 s bursts at 8 rps, mean
-      // rate comparable to the real-trace golden so runtimes match.
-      MmppStreamConfig bursty;
-      bursty.mmpp.state_rps = {1.0, 8.0};
-      bursty.mmpp.mean_sojourn_s = {2.0, 1.0};
-      bursty.duration = config.duration_s;
-      bursty.trace_seed = config.trace_seed;
-      return MakeMmppStream(exp.Categories(), bursty);
-    }
-    case GoldenScenario::kDiurnal: {
-      // One compressed "day" per run: the peak lands mid-trace and the
-      // trough bottoms out at 20% of the mean rate.
-      DiurnalStreamConfig diurnal;
-      diurnal.diurnal.period_s = config.duration_s;
-      diurnal.diurnal.peak_phase = 0.55;
-      diurnal.diurnal.amplitude = 0.8;
-      diurnal.duration = config.duration_s;
-      diurnal.mean_rps = config.mean_rps;
-      diurnal.trace_seed = config.trace_seed;
-      return MakeDiurnalStream(exp.Categories(), diurnal);
-    }
-    case GoldenScenario::kFlashCrowd:
-      return MakeStressStream(exp.Categories(), StressScenario::kFlashCrowd, config.duration_s,
-                              config.trace_seed);
-    case GoldenScenario::kTenantFlood:
-      return MakeStressStream(exp.Categories(), StressScenario::kTenantFlood, config.duration_s,
-                              config.trace_seed);
-    case GoldenScenario::kLongPromptPoison:
-      return MakeStressStream(exp.Categories(), StressScenario::kLongPromptPoison,
-                              config.duration_s, config.trace_seed);
-    case GoldenScenario::kCorrelatedBursts:
-      return MakeStressStream(exp.Categories(), StressScenario::kCorrelatedBursts,
-                              config.duration_s, config.trace_seed);
-    case GoldenScenario::kRealTrace:
-      break;
-  }
-  ADASERVE_CHECK(false) << "kRealTrace uses the vector path, not a stream";
-  return nullptr;
-}
-
-std::vector<Request> GoldenWorkload(const Experiment& exp, const GoldenConfig& config) {
-  return exp.RealTraceWorkload(config.duration_s, config.mean_rps, WorkloadConfig{},
-                               config.trace_seed);
-}
-
-EngineConfig GoldenEngineConfig(const GoldenConfig& config, GoldenScenario scenario) {
-  EngineConfig engine;
-  engine.sampling_seed = config.sampling_seed;
-  if (scenario != GoldenScenario::kRealTrace) {
-    // Streaming scenarios exercise the full lazy path: bounded arrival
-    // horizon, incremental metrics, finished-request retirement.
-    engine.retire_finished = true;
-  }
-  return engine;
-}
-
-EngineResult RunGoldenSystem(const Experiment& exp, SystemKind kind, const GoldenConfig& config,
-                             GoldenScenario scenario) {
-  auto scheduler = MakeScheduler(kind);
-  const EngineConfig engine = GoldenEngineConfig(config, scenario);
-  if (scenario == GoldenScenario::kRealTrace) {
-    return exp.Run(*scheduler, GoldenWorkload(exp, config), engine);
-  }
-  auto stream = MakeGoldenStream(exp, scenario, config);
-  return exp.Run(*scheduler, *stream, engine);
+Cell MakeGoldenCell(const GoldenCell& cell, const GoldenConfig& config) {
+  const GoldenScenario scenario = cell.scenario;
+  return {GoldenSetup(), cell.kind,
+          [scenario, config](const Experiment& exp) {
+            return GoldenWorkload(exp, scenario, config);
+          },
+          GoldenEngineConfig(config, scenario), 0.0};
 }
 
 std::string GoldenMetricsText(SystemKind kind, const Metrics& metrics) {

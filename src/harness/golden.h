@@ -13,6 +13,7 @@
 
 #include "src/harness/comparisons.h"
 #include "src/harness/experiment.h"
+#include "src/harness/sweep_runner.h"
 #include "src/workload/scenarios.h"
 
 namespace adaserve {
@@ -66,26 +67,11 @@ struct GoldenCell {
 // tenant flood (the fair-queuing baseline the flood exists to stress).
 std::vector<GoldenCell> AllGoldenCells();
 
-// Builds the canonical fixed-seed stream for a streaming scenario
-// (kBursty/kDiurnal only).
-std::unique_ptr<ArrivalStream> MakeGoldenStream(const Experiment& exp, GoldenScenario scenario,
-                                                const GoldenConfig& config = {});
-
-// The canonical fixed-seed vector workload of the kRealTrace scenario —
-// what RunGoldenSystem replays. Exposed so tests can drive the exact
-// golden trace through their own loops.
-std::vector<Request> GoldenWorkload(const Experiment& exp, const GoldenConfig& config = {});
-
-// Engine config RunGoldenSystem serves `scenario` under — factored out so
-// the record/replay harness can attach a trace sink to the exact golden
-// engine settings.
-EngineConfig GoldenEngineConfig(const GoldenConfig& config, GoldenScenario scenario);
-
-// Runs `kind` on the canonical workload of `scenario` and returns its
-// result.
-EngineResult RunGoldenSystem(const Experiment& exp, SystemKind kind,
-                             const GoldenConfig& config = {},
-                             GoldenScenario scenario = GoldenScenario::kRealTrace);
+// The sweep cell of one pinned baseline: GoldenSetup(), the cell's
+// system, the scenario's canonical fixed-seed workload, and the engine
+// config the corpus is served under. RunCell(MakeGoldenCell(c)) is the
+// run whose GoldenMetricsText tests/golden/c.Filename() pins.
+Cell MakeGoldenCell(const GoldenCell& cell, const GoldenConfig& config = {});
 
 // Serializes the regression-relevant metrics (finished count, throughput,
 // SLO attainment, goodput, acceptance rate, per-category breakdown) to a

@@ -475,34 +475,26 @@ std::optional<Setup> ReplaySetupById(const std::string& setup_id) {
 
 // --- recording ---------------------------------------------------------------
 
-RecordedRun RecordRun(const Experiment& exp, SystemKind kind, WorkloadSource source,
-                      EngineConfig engine, const std::string& setup_id, const std::string& label,
-                      int verify_budget, int draft_budget) {
+RecordedRun RecordRun(const Cell& cell, const std::string& setup_id, const std::string& label) {
   const std::optional<Setup> registered = ReplaySetupById(setup_id);
   ADASERVE_CHECK(registered.has_value()) << "setup id '" << setup_id << "' not in replay registry";
-  ADASERVE_CHECK(registered->label == exp.setup().label)
+  ADASERVE_CHECK(registered->label == cell.setup.label)
       << "setup id '" << setup_id << "' names '" << registered->label
-      << "' but the experiment runs '" << exp.setup().label << "'";
+      << "' but the cell runs '" << cell.setup.label << "'";
 
   RecordedRun run;
-  RunRecorder recorder(kind, setup_id, label, engine, verify_budget, draft_budget);
-  engine.trace_sink = &recorder;
-  auto scheduler = MakeScheduler(kind);
-  run.result = exp.Run(*scheduler, std::move(source), engine, verify_budget, draft_budget);
+  RunRecorder recorder(cell.system, setup_id, label, cell.engine);
+  Cell recorded = cell;
+  recorded.engine.trace_sink = &recorder;
+  run.result = RunCell(recorded);
   run.artifact = recorder.Finish(run.result);
   return run;
 }
 
-RecordedRun RecordGoldenRun(const Experiment& exp, SystemKind kind, const GoldenConfig& config,
-                            GoldenScenario scenario) {
-  const EngineConfig engine = GoldenEngineConfig(config, scenario);
-  std::string label = "golden/" + GoldenCell{kind, scenario}.Filename();
+RecordedRun RecordGoldenRun(const GoldenCell& cell, const GoldenConfig& config) {
+  std::string label = "golden/" + cell.Filename();
   label.resize(label.size() - 4);  // strip ".txt"
-  if (scenario == GoldenScenario::kRealTrace) {
-    return RecordRun(exp, kind, GoldenWorkload(exp, config), engine, "golden", label);
-  }
-  auto stream = MakeGoldenStream(exp, scenario, config);
-  return RecordRun(exp, kind, *stream, engine, "golden", label);
+  return RecordRun(MakeGoldenCell(cell, config), "golden", label);
 }
 
 RecordedClusterRun RecordClusterRun(ClusterConfig config, SystemKind system,

@@ -115,19 +115,16 @@ struct RecordedRun {
   EngineResult result;
 };
 
-// Runs `kind` over `source` under `engine` with a recorder attached and
-// returns artifact + result. `setup_id` must name `exp`'s setup in the
-// registry (checked), or replay would silently run a different model.
-RecordedRun RecordRun(const Experiment& exp, SystemKind kind, WorkloadSource source,
-                      EngineConfig engine, const std::string& setup_id,
-                      const std::string& label = "", int verify_budget = 0, int draft_budget = 0);
+// Runs `cell` with a recorder attached to its engine config and returns
+// artifact + result. `setup_id` must name `cell.setup` in the registry
+// (checked), or replay would silently run a different model.
+RecordedRun RecordRun(const Cell& cell, const std::string& setup_id,
+                      const std::string& label = "");
 
-// Records the exact golden cell (system x scenario) RunGoldenSystem runs:
-// same workload, same engine config, same metrics — with the artifact on
-// the side. Requires `exp` built from GoldenSetup() (setup id "golden").
-RecordedRun RecordGoldenRun(const Experiment& exp, SystemKind kind,
-                            const GoldenConfig& config = {},
-                            GoldenScenario scenario = GoldenScenario::kRealTrace);
+// Records the exact golden cell RunCell(MakeGoldenCell(cell, config))
+// runs — same workload, engine config, and metrics — with the artifact
+// on the side, under setup id "golden".
+RecordedRun RecordGoldenRun(const GoldenCell& cell, const GoldenConfig& config = {});
 
 struct RecordedClusterRun {
   // One artifact per replica, replica order; each replays standalone.

@@ -15,117 +15,62 @@ SweepRunner::SweepRunner(int threads) {
   }
 }
 
-std::vector<SweepCellResult> RunSystemGrid(SweepRunner& runner,
-                                           const std::vector<SystemKind>& systems,
-                                           const std::vector<double>& xs,
-                                           const SweepCellFn& run_cell) {
-  ADASERVE_CHECK(run_cell != nullptr) << "RunSystemGrid needs a cell runner";
+EngineResult RunCell(const Cell& cell) {
+  ADASERVE_CHECK(cell.workload != nullptr) << "cell needs a workload factory";
+  const Experiment exp(cell.setup);
+  WorkloadSource workload = cell.workload(exp);
+  auto scheduler = MakeScheduler(cell.system);
+  return exp.Run(*scheduler, std::move(workload), cell.engine);
+}
+
+std::vector<CellResult> RunCells(SweepRunner& runner, const std::vector<Cell>& cells) {
   std::vector<std::function<EngineResult()>> tasks;
-  tasks.reserve(xs.size() * systems.size());
-  for (double x : xs) {
-    for (SystemKind system : systems) {
-      tasks.push_back([&run_cell, system, x] { return run_cell(system, x); });
-    }
+  tasks.reserve(cells.size());
+  for (const Cell& cell : cells) {
+    tasks.push_back([&cell] { return RunCell(cell); });
   }
   std::vector<Timed<EngineResult>> timed = runner.Map(tasks);
 
-  std::vector<SweepCellResult> cells;
-  cells.reserve(timed.size());
-  size_t i = 0;
-  for (double x : xs) {
-    for (SystemKind system : systems) {
-      cells.push_back({system, x, std::move(timed[i].value), timed[i].wall_clock_s});
-      ++i;
-    }
+  std::vector<CellResult> results;
+  results.reserve(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    results.push_back(
+        {cells[i].system, cells[i].x, std::move(timed[i].value), timed[i].wall_clock_s});
   }
-  return cells;
+  return results;
 }
 
-std::vector<SweepCellResult> RunSetupSweep(SweepRunner& runner, const Setup& setup,
-                                           const std::vector<SystemKind>& systems,
-                                           const std::vector<double>& xs,
-                                           const SweepWorkloadFn& make_workload,
-                                           const EngineConfig& engine) {
-  ADASERVE_CHECK(make_workload != nullptr) << "RunSetupSweep needs a workload factory";
-  return RunSystemGrid(runner, systems, xs,
-                       [&setup, &make_workload, &engine](SystemKind system, double x) {
-                         const Experiment exp(setup);
-                         std::vector<Request> workload = make_workload(exp, x);
-                         auto scheduler = MakeScheduler(system);
-                         return exp.Run(*scheduler, std::move(workload), engine);
-                       });
-}
-
-std::vector<SweepCellResult> RunSetupStreamSweep(SweepRunner& runner, const Setup& setup,
-                                                 const std::vector<SystemKind>& systems,
-                                                 const std::vector<double>& xs,
-                                                 const SweepStreamFn& make_stream,
-                                                 const EngineConfig& engine,
-                                                 size_t prefetch_depth) {
-  ADASERVE_CHECK(make_stream != nullptr) << "RunSetupStreamSweep needs a stream factory";
-  return RunSystemGrid(
-      runner, systems, xs,
-      [&setup, &make_stream, &engine, prefetch_depth](SystemKind system, double x) {
-        const Experiment exp(setup);
-        std::unique_ptr<ArrivalStream> stream = make_stream(exp, x);
-        if (prefetch_depth > 0) {
-          stream = std::make_unique<PrefetchingArrivalStream>(std::move(stream), prefetch_depth);
-        }
-        auto scheduler = MakeScheduler(system);
-        return exp.Run(*scheduler, *stream, engine);
-      });
-}
-
-std::vector<SeedShardCell> RunSeedShardedSweep(SweepRunner& runner, const Setup& setup,
-                                               const std::vector<SystemKind>& systems,
-                                               const std::vector<double>& xs,
-                                               const std::vector<uint64_t>& seeds,
-                                               const SeedWorkloadFn& make_workload,
-                                               const EngineConfig& engine) {
-  ADASERVE_CHECK(make_workload != nullptr) << "RunSeedShardedSweep needs a workload factory";
-  ADASERVE_CHECK(!seeds.empty()) << "RunSeedShardedSweep needs at least one seed";
-  // One task per (x, system, seed) shard, x-major like RunSystemGrid so
-  // sharded and unsharded sweeps submit cells in the same order.
-  std::vector<std::function<Metrics()>> tasks;
-  tasks.reserve(xs.size() * systems.size() * seeds.size());
-  for (double x : xs) {
-    for (SystemKind system : systems) {
-      for (uint64_t seed : seeds) {
-        tasks.push_back([&setup, &make_workload, &engine, system, x, seed] {
-          const Experiment exp(setup);
-          std::vector<Request> workload = make_workload(exp, x, seed);
-          auto scheduler = MakeScheduler(system);
-          return exp.Run(*scheduler, std::move(workload), engine).metrics;
-        });
-      }
-    }
-  }
-  std::vector<Timed<Metrics>> timed = runner.Map(tasks);
-
-  std::vector<SeedShardCell> cells;
+std::vector<Cell> SystemGrid(
+    const Setup& setup, const std::vector<SystemKind>& systems, const std::vector<double>& xs,
+    const std::function<WorkloadSource(const Experiment& exp, double x)>& workload,
+    const EngineConfig& engine) {
+  std::vector<Cell> cells;
   cells.reserve(xs.size() * systems.size());
-  size_t i = 0;
   for (double x : xs) {
     for (SystemKind system : systems) {
-      SeedShardCell cell;
-      cell.system = system;
-      cell.x = x;
-      cell.seeds = seeds;
-      cell.per_seed.reserve(seeds.size());
-      // Aggregation runs here, in seed order, regardless of which worker
-      // finished first — thread count cannot perturb the accumulators.
-      for (size_t s = 0; s < seeds.size(); ++s, ++i) {
-        const Metrics& m = timed[i].value;
-        cell.goodput_tps.Add(m.GoodputTps());
-        cell.attainment_pct.Add(m.AttainmentPct());
-        cell.throughput_tps.Add(m.ThroughputTps());
-        cell.wall_clock_s += timed[i].wall_clock_s;
-        cell.per_seed.push_back(std::move(timed[i].value));
-      }
-      cells.push_back(std::move(cell));
+      cells.push_back(
+          {setup, system, [workload, x](const Experiment& exp) { return workload(exp, x); },
+           engine, x});
     }
   }
   return cells;
+}
+
+std::vector<SeedAggregate> AggregateSeeds(const std::vector<CellResult>& results, size_t seeds) {
+  ADASERVE_CHECK(seeds > 0 && results.size() % seeds == 0)
+      << results.size() << " results do not split into shards of " << seeds << " seeds";
+  std::vector<SeedAggregate> aggregates;
+  aggregates.reserve(results.size() / seeds);
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (i % seeds == 0) {
+      aggregates.push_back({results[i].system, results[i].x, {}, {}, {}});
+    }
+    const Metrics& m = results[i].result.metrics;
+    aggregates.back().goodput_tps.Add(m.GoodputTps());
+    aggregates.back().attainment_pct.Add(m.AttainmentPct());
+    aggregates.back().throughput_tps.Add(m.ThroughputTps());
+  }
+  return aggregates;
 }
 
 }  // namespace adaserve

@@ -1,18 +1,20 @@
 // Parallel sweep execution engine for the bench/figure harness.
 //
-// A sweep is a grid of (system × sweep-point) cells, each an independent
-// deterministic simulation. SweepRunner fans the cells out over a
-// ThreadPool and reassembles results in grid order, so the output — and,
-// because every cell builds its own Experiment, workload, and scheduler
-// from scratch, every metric byte — is identical at any thread count.
+// A sweep is a list of cells, each one independent deterministic
+// simulation: a setup, a serving system, a workload, and an engine
+// config. RunCell builds a fresh Experiment, workload, and scheduler for
+// its cell and runs it once; RunCells fans a cell list out over a
+// SweepRunner's ThreadPool and returns results in input order, so the
+// output — and, because no simulator state crosses cells, every metric
+// byte — is identical at any thread count.
 // tests/sweep_parallel_equivalence_test.cc pins threads=1 ≡ threads=4
 // with the same GoldenMetricsText machinery that pins the golden
 // baselines.
 //
-// Thread-safety contract for cell callbacks: a cell must not touch
-// mutable state shared with other cells. The helpers below enforce this
-// by constructing all simulator state (Experiment, workload, scheduler)
-// inside the cell task; custom cells passed to Map must do the same.
+// Thread-safety contract: a cell's workload factory runs on a pool
+// worker and must only read the Experiment it is handed and its own
+// captures. Custom tasks passed to Map must likewise build all simulator
+// state inside the task.
 #ifndef ADASERVE_SRC_HARNESS_SWEEP_RUNNER_H_
 #define ADASERVE_SRC_HARNESS_SWEEP_RUNNER_H_
 
@@ -27,7 +29,6 @@
 #include "src/common/thread_pool.h"
 #include "src/harness/comparisons.h"
 #include "src/harness/experiment.h"
-#include "src/workload/prefetch_stream.h"
 
 namespace adaserve {
 
@@ -94,103 +95,59 @@ class SweepRunner {
   double total_wall_clock_s_ = 0.0;
 };
 
-// One finished cell of a system × sweep-point grid.
-struct SweepCellResult {
+// One simulated run. `x` is the swept knob (RPS, urgent share, SLO
+// scale...) the cell reports under; the workload factory already bakes
+// it in.
+struct Cell {
+  Setup setup;
+  SystemKind system = SystemKind::kAdaServe;
+  // Builds the cell's workload — a request vector or an owned lazy
+  // stream — on the cell's own Experiment. Called once per run, from a
+  // pool worker.
+  std::function<WorkloadSource(const Experiment& exp)> workload;
+  EngineConfig engine;
+  double x = 0.0;
+};
+
+struct CellResult {
   SystemKind system;
   double x = 0.0;
   EngineResult result;
+  // The cell task's own compute seconds.
   double wall_clock_s = 0.0;
 };
 
-// Builds and runs one cell from scratch. Called concurrently from pool
-// workers: everything the simulation touches must be task-local.
-using SweepCellFn = std::function<EngineResult(SystemKind system, double x)>;
+// Runs `cell` from scratch: a fresh Experiment(cell.setup), its workload,
+// and a fresh MakeScheduler(cell.system), then one Experiment::Run.
+EngineResult RunCell(const Cell& cell);
 
-// Fans out the full xs × systems grid through `runner` and returns
-// results x-major (for each x, every system) — the serial benches' print
-// order.
-std::vector<SweepCellResult> RunSystemGrid(SweepRunner& runner,
-                                           const std::vector<SystemKind>& systems,
-                                           const std::vector<double>& xs,
-                                           const SweepCellFn& run_cell);
+// Runs every cell through `runner`; results come back in `cells` order.
+std::vector<CellResult> RunCells(SweepRunner& runner, const std::vector<Cell>& cells);
 
-// Workload for one sweep point, built on the cell's own Experiment.
-// Called concurrently; must only read `exp` and its captures.
-using SweepWorkloadFn = std::function<std::vector<Request>(const Experiment& exp, double x)>;
+// The xs × systems grid of the sweep benches, x-major (for each x, every
+// system): the benches' print order. `workload` builds the trace of one
+// sweep point on the cell's own Experiment.
+std::vector<Cell> SystemGrid(
+    const Setup& setup, const std::vector<SystemKind>& systems, const std::vector<double>& xs,
+    const std::function<WorkloadSource(const Experiment& exp, double x)>& workload,
+    const EngineConfig& engine = {});
 
-// The standard bench cell: a fresh Experiment(setup), a fresh workload
-// from `make_workload`, and a fresh MakeScheduler(system) per cell, so
-// no simulator state crosses task boundaries.
-std::vector<SweepCellResult> RunSetupSweep(SweepRunner& runner, const Setup& setup,
-                                           const std::vector<SystemKind>& systems,
-                                           const std::vector<double>& xs,
-                                           const SweepWorkloadFn& make_workload,
-                                           const EngineConfig& engine = {});
-
-// Arrival stream of one sweep point, built on the cell's own Experiment.
-// Called concurrently; must only read `exp` and its captures. Streams are
-// single-pass, so the factory must build a fresh stream per call.
-using SweepStreamFn =
-    std::function<std::unique_ptr<ArrivalStream>(const Experiment& exp, double x)>;
-
-// Stream-based bench cell: RunSetupSweep without the materialized trace.
-// The cell's workload is generated lazily and — when prefetch_depth > 0 —
-// on a per-cell producer thread overlapped with serving
-// (PrefetchingArrivalStream), so generation cost leaves the serving
-// loop's critical path. Metrics are byte-identical to the vector path
-// (streaming_equivalence_test) and independent of prefetch_depth
-// (prefetch_stream_test); depth 0 consumes the stream inline with no
-// producer thread.
-std::vector<SweepCellResult> RunSetupStreamSweep(
-    SweepRunner& runner, const Setup& setup, const std::vector<SystemKind>& systems,
-    const std::vector<double>& xs, const SweepStreamFn& make_stream,
-    const EngineConfig& engine = {}, size_t prefetch_depth = kDefaultPrefetchDepth);
-
-// --- per-seed sharding (variance studies) ---
-
-// One (system × x) cell fanned over N trace seeds. Per-shard metrics stay
-// in seed order; the headline metrics aggregate across shards with
-// RunningStat (mean/stddev), accumulated in seed order so every value —
-// including the float-order-sensitive stddev — is identical at any
-// thread count.
-struct SeedShardCell {
+// Headline metrics of one (system, x) cell across trace seeds.
+struct SeedAggregate {
   SystemKind system;
   double x = 0.0;
-  std::vector<uint64_t> seeds;
-  // Full metrics of each shard, seed order (same indexing as `seeds`).
-  std::vector<Metrics> per_seed;
   RunningStat goodput_tps;
   RunningStat attainment_pct;
   RunningStat throughput_tps;
-  // Sum of the shard tasks' own compute seconds.
-  double wall_clock_s = 0.0;
-
-  // Cross-seed error bars: Bessel-corrected sample stddev of the headline
-  // metrics. Seeds are a small sample of the trace-randomness population,
-  // so the population Stddev() would understate the spread.
-  double GoodputErrTps() const { return goodput_tps.SampleStddev(); }
-  double AttainmentErrPct() const { return attainment_pct.SampleStddev(); }
-  double ThroughputErrTps() const { return throughput_tps.SampleStddev(); }
 };
 
-// Workload of one (x, seed) shard, built on the shard's own Experiment.
-// Called concurrently; must only read `exp` and its captures.
-using SeedWorkloadFn =
-    std::function<std::vector<Request>(const Experiment& exp, double x, uint64_t seed)>;
-
-// Fans the full systems × xs × seeds grid out through `runner` — every
-// shard an independent task with its own Experiment, workload, and
-// scheduler, exactly like RunSetupSweep cells — and reassembles per-cell
-// aggregates x-major (systems inner, seeds innermost). `seeds` must be
-// non-empty; with a single seed each cell's lone shard is byte-identical
-// to the corresponding RunSetupSweep cell for that seed (pinned by
-// tests/sweep_parallel_equivalence_test.cc).
-std::vector<SeedShardCell> RunSeedShardedSweep(SweepRunner& runner, const Setup& setup,
-                                               const std::vector<SystemKind>& systems,
-                                               const std::vector<double>& xs,
-                                               const std::vector<uint64_t>& seeds,
-                                               const SeedWorkloadFn& make_workload,
-                                               const EngineConfig& engine = {});
+// Folds seed-sharded results — `seeds` consecutive results per
+// (system, x), seeds innermost — into one aggregate each. Accumulation
+// follows result order, so every float (the order-sensitive stddev
+// included) is identical at any thread count. Cross-seed error bars
+// should use RunningStat::SampleStddev: a few seeds are a sample of the
+// seed population.
+std::vector<SeedAggregate> AggregateSeeds(const std::vector<CellResult>& results, size_t seeds);
 
 }  // namespace adaserve
 

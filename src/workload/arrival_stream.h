@@ -57,17 +57,20 @@ class MaterializedStream final : public ArrivalStream {
   size_t pos_ = 0;
 };
 
-// A workload handed to an engine/experiment Run: either a borrowed live
-// ArrivalStream (lazy, streaming) or an owned request vector adapted via
-// MaterializedStream (the classic pre-built trace). The implicit
-// conversions unify what used to be two separate Run overloads — every
-// historical call site compiles against the one WorkloadSource signature.
+// A workload handed to an engine/experiment Run: a borrowed live
+// ArrivalStream, an owned one (what a sweep cell's workload factory
+// returns for a lazily generated trace), or an owned request vector
+// adapted via MaterializedStream (the classic pre-built trace). The
+// implicit conversions let one Run signature take all three.
 class WorkloadSource {
  public:
   // Owned trace: `requests` must be sorted by arrival time.
   WorkloadSource(std::vector<Request> requests)  // NOLINT(google-explicit-constructor)
-      : owned_(std::make_unique<MaterializedStream>(std::move(requests))),
-        stream_(owned_.get()) {}
+      : WorkloadSource(std::make_unique<MaterializedStream>(std::move(requests))) {}
+
+  // Owned live stream; must be non-null.
+  WorkloadSource(std::unique_ptr<ArrivalStream> stream)  // NOLINT(google-explicit-constructor)
+      : owned_(std::move(stream)), stream_(owned_.get()) {}
 
   // Borrowed live stream; must outlive the Run call.
   WorkloadSource(ArrivalStream& stream)  // NOLINT(google-explicit-constructor)
@@ -76,7 +79,7 @@ class WorkloadSource {
   ArrivalStream& stream() const { return *stream_; }
 
  private:
-  std::unique_ptr<MaterializedStream> owned_;
+  std::unique_ptr<ArrivalStream> owned_;
   ArrivalStream* stream_;
 };
 

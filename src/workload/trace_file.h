@@ -16,8 +16,8 @@
 // '#'-comment lines are skipped. Parsing is a strict validation pass up
 // front — any malformed line fails the whole load with a line-numbered
 // error — and emission through the ArrivalStream contract is lazy, so
-// the stream composes with PrefetchingArrivalStream and the cluster
-// router pre-pass like every generator-backed stream.
+// the stream composes with sweep cells, the streaming engine, and the
+// cluster router pre-pass like every generator-backed stream.
 #ifndef ADASERVE_SRC_WORKLOAD_TRACE_FILE_H_
 #define ADASERVE_SRC_WORKLOAD_TRACE_FILE_H_
 

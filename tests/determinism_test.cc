@@ -49,32 +49,41 @@ void ExpectBitIdentical(const EngineResult& a, const EngineResult& b) {
   }
 }
 
+// Runs the golden AdaServe cell's workload and engine config on `exp`.
+EngineResult RunOn(const Experiment& exp, const Cell& cell) {
+  auto scheduler = MakeScheduler(cell.system);
+  return exp.Run(*scheduler, cell.workload(exp), cell.engine);
+}
+
 TEST(Determinism, AdaServeSameSeedBitIdentical) {
-  Experiment exp(TestSetup());
-  const EngineResult first = RunGoldenSystem(exp, SystemKind::kAdaServe);
-  const EngineResult second = RunGoldenSystem(exp, SystemKind::kAdaServe);
+  // RunCell builds a fresh Experiment (fresh synthetic LMs, latency
+  // models) per call, so this also proves no hidden state leaks across
+  // instances.
+  const Cell cell = MakeGoldenCell({SystemKind::kAdaServe});
+  const EngineResult first = RunCell(cell);
+  const EngineResult second = RunCell(cell);
   ASSERT_GT(first.metrics.finished, 0);
   ExpectBitIdentical(first, second);
 }
 
-TEST(Determinism, AdaServeSameSeedAcrossExperimentInstances) {
-  // A fresh Experiment (fresh synthetic LMs, latency models) must not leak
-  // hidden state into the run.
-  Experiment exp_a(TestSetup());
-  Experiment exp_b(TestSetup());
-  const EngineResult first = RunGoldenSystem(exp_a, SystemKind::kAdaServe);
-  const EngineResult second = RunGoldenSystem(exp_b, SystemKind::kAdaServe);
+TEST(Determinism, AdaServeSameSeedOnSharedExperiment) {
+  // Back-to-back runs on one Experiment must not leak state from the
+  // first run into the second.
+  const Experiment exp(TestSetup());
+  const Cell cell = MakeGoldenCell({SystemKind::kAdaServe});
+  const EngineResult first = RunOn(exp, cell);
+  const EngineResult second = RunOn(exp, cell);
   ExpectBitIdentical(first, second);
+  ExpectBitIdentical(first, RunCell(cell));
 }
 
 TEST(Determinism, DifferentSamplingSeedDiverges) {
   // Sanity check that the seed actually reaches the sampling path: a
   // different seed should change at least some sampled token stream.
-  Experiment exp(TestSetup());
   GoldenConfig other;
   other.sampling_seed = 99991;
-  const EngineResult first = RunGoldenSystem(exp, SystemKind::kAdaServe);
-  const EngineResult second = RunGoldenSystem(exp, SystemKind::kAdaServe, other);
+  const EngineResult first = RunCell(MakeGoldenCell({SystemKind::kAdaServe}));
+  const EngineResult second = RunCell(MakeGoldenCell({SystemKind::kAdaServe}, other));
   ASSERT_EQ(first.requests.size(), second.requests.size());
   bool any_diff = false;
   for (size_t i = 0; i < first.requests.size() && !any_diff; ++i) {

@@ -7,10 +7,11 @@
 //
 // Regenerate baselines after an intentional behavior change with:
 //   ./golden_test --update_golden
-// Regeneration fans every cell out over a SweepRunner; the test pass that
-// follows recomputes each cell serially and byte-compares it against the
-// parallel-written file, so every --update_golden run doubles as a
-// parallel ≡ serial regeneration proof. After regenerating, any
+// Regeneration runs every MakeGoldenCell through RunCells on a
+// multi-threaded SweepRunner; the test pass that follows recomputes each
+// cell serially and byte-compares it against the parallel-written file,
+// so every --update_golden run doubles as a parallel ≡ serial
+// regeneration proof. After regenerating, any
 // tests/golden/*.txt file that no longer corresponds to a cell is an
 // orphan: --update_golden lists them and exits nonzero instead of leaving
 // them behind, and the always-on NoOrphanBaselines test enforces the same
@@ -69,27 +70,27 @@ std::vector<std::string> OrphanBaselines() {
   return orphans;
 }
 
-// Regenerates the full corpus — every AllGoldenCells() cell — fanned out
-// over a SweepRunner. Cells share the (immutable) Experiment but build
-// their own scheduler, engine, and stream, the same contract
-// RunComparison relies on. Returns false if any file write fails.
-bool RegenerateAllGoldens(const Experiment& exp, int threads) {
-  struct Written {
-    std::string path;
-    std::string text;
-  };
-  std::vector<std::function<Written()>> tasks;
-  for (const GoldenCell& cell : AllGoldenCells()) {
-    tasks.push_back([&exp, cell] {
-      const EngineResult result = RunGoldenSystem(exp, cell.kind, {}, cell.scenario);
-      return Written{GoldenPath(cell), GoldenMetricsText(cell.kind, result.metrics)};
-    });
+// Every golden cell, in AllGoldenCells() order.
+std::vector<Cell> GoldenCells(const std::vector<GoldenCell>& golden) {
+  std::vector<Cell> cells;
+  cells.reserve(golden.size());
+  for (const GoldenCell& cell : golden) {
+    cells.push_back(MakeGoldenCell(cell));
   }
+  return cells;
+}
+
+// Regenerates the full corpus — every AllGoldenCells() cell — through
+// RunCells on `threads` workers. Returns false if any file write fails.
+bool RegenerateAllGoldens(int threads) {
+  const std::vector<GoldenCell> golden = AllGoldenCells();
   SweepRunner runner(threads);
+  const std::vector<CellResult> results = RunCells(runner, GoldenCells(golden));
   bool ok = true;
-  for (const Timed<Written>& cell : runner.Map(tasks)) {
-    if (!WriteGoldenFile(cell.value.path, cell.value.text)) {
-      ADASERVE_LOG(Error) << "cannot write " << cell.value.path;
+  for (size_t i = 0; i < golden.size(); ++i) {
+    const std::string path = GoldenPath(golden[i]);
+    if (!WriteGoldenFile(path, GoldenMetricsText(golden[i].kind, results[i].result.metrics))) {
+      ADASERVE_LOG(Error) << "cannot write " << path;
       ok = false;
     }
   }
@@ -98,12 +99,12 @@ bool RegenerateAllGoldens(const Experiment& exp, int threads) {
 
 // Re-runs a failing cell under a RunRecorder and dumps its replay
 // artifact for offline debugging (CI uploads the directory on failure).
-void DumpReplayArtifact(const Experiment& exp, const GoldenCell& cell) {
+void DumpReplayArtifact(const GoldenCell& cell) {
   const char* env = std::getenv("ADASERVE_REPLAY_DUMP_DIR");
   const std::string dir = env != nullptr && *env != '\0' ? env : "replay_artifacts";
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  const RecordedRun run = RecordGoldenRun(exp, cell.kind, {}, cell.scenario);
+  const RecordedRun run = RecordGoldenRun(cell);
   const std::string path = dir + "/" + cell.Filename() + ".replay";
   std::string error;
   if (WriteReplayArtifact(path, run.artifact, &error)) {
@@ -114,8 +115,8 @@ void DumpReplayArtifact(const Experiment& exp, const GoldenCell& cell) {
   }
 }
 
-void CheckAgainstBaseline(const Experiment& exp, const GoldenCell& cell) {
-  const EngineResult result = RunGoldenSystem(exp, cell.kind, {}, cell.scenario);
+void CheckAgainstBaseline(const GoldenCell& cell) {
+  const EngineResult result = RunCell(MakeGoldenCell(cell));
   ASSERT_GT(result.metrics.finished, 0) << SystemName(cell.kind) << " finished nothing";
   const std::string actual = GoldenMetricsText(cell.kind, result.metrics);
   const std::string path = GoldenPath(cell);
@@ -127,25 +128,13 @@ void CheckAgainstBaseline(const Experiment& exp, const GoldenCell& cell) {
       << "golden metrics changed for " << SystemName(cell.kind)
       << "; if intentional, regenerate with `golden_test --update_golden`";
   if (expected != actual) {
-    DumpReplayArtifact(exp, cell);
+    DumpReplayArtifact(cell);
   }
 }
 
-class GoldenTest : public testing::TestWithParam<GoldenCell> {
- protected:
-  // One experiment shared across all parameterized cases: building the
-  // synthetic LM pair dominates setup cost.
-  static void SetUpTestSuite() { exp_ = new Experiment(GoldenSetup()); }
-  static void TearDownTestSuite() {
-    delete exp_;
-    exp_ = nullptr;
-  }
-  static Experiment* exp_;
-};
+class GoldenTest : public testing::TestWithParam<GoldenCell> {};
 
-Experiment* GoldenTest::exp_ = nullptr;
-
-TEST_P(GoldenTest, MetricsMatchBaseline) { CheckAgainstBaseline(*exp_, GetParam()); }
+TEST_P(GoldenTest, MetricsMatchBaseline) { CheckAgainstBaseline(GetParam()); }
 
 std::string ParamName(const testing::TestParamInfo<GoldenCell>& info) {
   std::string name = info.param.Filename();
@@ -175,29 +164,18 @@ TEST(GoldenCorpusTest, NoOrphanBaselines) {
 // prove equal to serial recomputation. Streaming scenarios are covered by
 // the --update_golden flow, which writes in parallel and verifies serially.
 TEST(GoldenRegenerationTest, ParallelRecomputationMatchesBaselines) {
-  const Experiment exp(GoldenSetup());
-  struct Cell {
-    GoldenCell cell;
-    std::string text;
-  };
-  std::vector<GoldenCell> cells;
+  std::vector<GoldenCell> golden;
   for (SystemKind kind : MainComparisonSet()) {
-    cells.push_back({kind, GoldenScenario::kRealTrace});
-  }
-  std::vector<std::function<Cell()>> tasks;
-  for (const GoldenCell& cell : cells) {
-    tasks.push_back([&exp, cell] {
-      const EngineResult result = RunGoldenSystem(exp, cell.kind, {}, cell.scenario);
-      return Cell{cell, GoldenMetricsText(cell.kind, result.metrics)};
-    });
+    golden.push_back({kind, GoldenScenario::kRealTrace});
   }
   SweepRunner runner(4);
-  for (const Timed<Cell>& cell : runner.Map(tasks)) {
+  const std::vector<CellResult> results = RunCells(runner, GoldenCells(golden));
+  for (size_t i = 0; i < golden.size(); ++i) {
     std::string expected;
-    ASSERT_TRUE(ReadGoldenFile(GoldenPath(cell.value.cell), &expected))
-        << "missing baseline " << GoldenPath(cell.value.cell);
-    EXPECT_EQ(expected, cell.value.text)
-        << "parallel recomputation diverged for " << SystemName(cell.value.cell.kind);
+    ASSERT_TRUE(ReadGoldenFile(GoldenPath(golden[i]), &expected))
+        << "missing baseline " << GoldenPath(golden[i]);
+    EXPECT_EQ(expected, GoldenMetricsText(golden[i].kind, results[i].result.metrics))
+        << "parallel recomputation diverged for " << SystemName(golden[i].kind);
   }
 }
 
@@ -216,8 +194,7 @@ int main(int argc, char** argv) {
     // Parallel rewrite of the whole corpus, then fall through to the
     // normal (serial) test pass: every case recomputes its metrics and
     // byte-compares them against the file just written in parallel.
-    const adaserve::Experiment exp(adaserve::GoldenSetup());
-    if (!adaserve::RegenerateAllGoldens(exp, /*threads=*/0)) {
+    if (!adaserve::RegenerateAllGoldens(/*threads=*/0)) {
       return 1;
     }
     // Fail loudly on stale baselines instead of leaving orphans behind.

@@ -17,29 +17,19 @@
 namespace adaserve {
 namespace {
 
-class ReplayDeterminismTest : public testing::TestWithParam<SystemKind> {
- protected:
-  static void SetUpTestSuite() { exp_ = new Experiment(GoldenSetup()); }
-  static void TearDownTestSuite() {
-    delete exp_;
-    exp_ = nullptr;
-  }
-  static Experiment* exp_;
-};
-
-Experiment* ReplayDeterminismTest::exp_ = nullptr;
+class ReplayDeterminismTest : public testing::TestWithParam<SystemKind> {};
 
 // Recording is purely observational and replay re-executes byte-
 // identically: the artifact's fingerprint equals the sink-free run's
 // metrics, and ReplayRun reproduces it tick for tick.
 TEST_P(ReplayDeterminismTest, TickNativeRecordReplayByteIdentical) {
   const SystemKind kind = GetParam();
-  const RecordedRun run = RecordGoldenRun(*exp_, kind);
+  const RecordedRun run = RecordGoldenRun({kind});
   ASSERT_GT(run.result.metrics.finished, 0);
   ASSERT_FALSE(run.artifact.ticks.empty());
 
   // Observer purity: a run with a recorder attached matches one without.
-  const EngineResult bare = RunGoldenSystem(*exp_, kind);
+  const EngineResult bare = RunCell(MakeGoldenCell({kind}));
   EXPECT_EQ(run.artifact.metrics_text, GoldenMetricsText(kind, bare.metrics));
 
   const ReplayOutcome outcome = ReplayRun(run.artifact);
@@ -51,7 +41,7 @@ TEST_P(ReplayDeterminismTest, TickNativeRecordReplayByteIdentical) {
 // retirement) records and replays identically too.
 TEST_P(ReplayDeterminismTest, StreamingRecordReplayByteIdentical) {
   const SystemKind kind = GetParam();
-  const RecordedRun run = RecordGoldenRun(*exp_, kind, {}, GoldenScenario::kFlashCrowd);
+  const RecordedRun run = RecordGoldenRun({kind, GoldenScenario::kFlashCrowd});
   ASSERT_GT(run.result.metrics.finished, 0);
   const ReplayOutcome outcome = ReplayRun(run.artifact);
   ASSERT_TRUE(outcome.ok) << outcome.divergence->Summary();
@@ -64,9 +54,10 @@ TEST_P(ReplayDeterminismTest, ClusterReplicaRecordReplayByteIdentical) {
   config.replicas.push_back({GoldenSetup(), EngineConfig{}});
   config.replicas.push_back({GoldenSetup(), EngineConfig{}});
   config.router = RouterPolicy::kJoinShortestQueue;
-  MaterializedStream stream(GoldenWorkload(*exp_));
+  const Experiment exp(GoldenSetup());
+  const WorkloadSource workload = MakeGoldenCell({kind}).workload(exp);
   const RecordedClusterRun run =
-      RecordClusterRun(config, kind, stream, {"golden", "golden"}, "cluster2");
+      RecordClusterRun(config, kind, workload.stream(), {"golden", "golden"}, "cluster2");
   ASSERT_EQ(run.replicas.size(), 2u);
 
   // Every replica artifact replays standalone, byte-identically.
@@ -96,8 +87,7 @@ INSTANTIATE_TEST_SUITE_P(MainComparison, ReplayDeterminismTest,
                          });
 
 TEST(ReplayArtifactTest, SerializationRoundTripsExactly) {
-  const Experiment exp(GoldenSetup());
-  const RecordedRun run = RecordGoldenRun(exp, SystemKind::kAdaServe);
+  const RecordedRun run = RecordGoldenRun({SystemKind::kAdaServe});
   const std::string text = SerializeReplayArtifact(run.artifact);
 
   ReplayArtifact parsed;
@@ -114,8 +104,7 @@ TEST(ReplayArtifactTest, SerializationRoundTripsExactly) {
 }
 
 TEST(ReplayArtifactTest, TruncationAndVersionMismatchAreParseErrors) {
-  const Experiment exp(GoldenSetup());
-  const RecordedRun run = RecordGoldenRun(exp, SystemKind::kVllm);
+  const RecordedRun run = RecordGoldenRun({SystemKind::kVllm});
   const std::string text = SerializeReplayArtifact(run.artifact);
 
   ReplayArtifact parsed;
@@ -145,8 +134,7 @@ TEST(ReplayArtifactTest, TruncationAndVersionMismatchAreParseErrors) {
 // report names exactly that tick and field — the debugging contract: the
 // first divergent tick is where to look.
 TEST(ReplayCorruptionTest, SingleBitFlipDetectedAtExactTick) {
-  const Experiment exp(GoldenSetup());
-  const RecordedRun run = RecordGoldenRun(exp, SystemKind::kAdaServe);
+  const RecordedRun run = RecordGoldenRun({SystemKind::kAdaServe});
   ASSERT_GT(run.artifact.ticks.size(), 4u);
   const size_t victim = run.artifact.ticks.size() / 2;
 
@@ -169,8 +157,7 @@ TEST(ReplayCorruptionTest, SingleBitFlipDetectedAtExactTick) {
 // Corrupting an arrival cannot silently pass either: the replay serves
 // the corrupted workload and the metrics fingerprint catches it.
 TEST(ReplayCorruptionTest, CorruptedArrivalDiverges) {
-  const Experiment exp(GoldenSetup());
-  const RecordedRun run = RecordGoldenRun(exp, SystemKind::kVllm);
+  const RecordedRun run = RecordGoldenRun({SystemKind::kVllm});
   ASSERT_FALSE(run.artifact.arrivals.empty());
 
   ReplayArtifact corrupted = run.artifact;
@@ -187,8 +174,7 @@ TEST(ReplayCorruptionTest, CorruptedArrivalDiverges) {
 class ReplayValidationTest : public testing::Test {
  protected:
   static void SetUpTestSuite() {
-    const Experiment exp(GoldenSetup());
-    recorded_ = new ReplayArtifact(RecordGoldenRun(exp, SystemKind::kVllm).artifact);
+    recorded_ = new ReplayArtifact(RecordGoldenRun({SystemKind::kVllm}).artifact);
   }
   static void TearDownTestSuite() {
     delete recorded_;

@@ -6,6 +6,7 @@
 // PR-1 determinism guarantee to the lazy admission path.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,7 +20,7 @@ namespace {
 // identical (same-seed) stream.
 struct Scenario {
   const char* name;
-  StreamFactory make;
+  std::function<std::unique_ptr<ArrivalStream>()> make;
 };
 
 std::vector<Scenario> Scenarios(const Experiment& exp) {
@@ -97,8 +98,9 @@ class StreamingEquivalence : public ::testing::TestWithParam<SystemKind> {
 
 Experiment* StreamingEquivalence::exp_ = nullptr;
 
-// Lazy stream vs the same trace materialized up front: identical metrics,
-// iteration log, and per-request records.
+// Lazy stream — borrowed, or owned by the WorkloadSource as a sweep
+// cell's workload factory hands it over — vs the same trace materialized
+// up front: identical metrics, iteration log, and per-request records.
 TEST_P(StreamingEquivalence, LazyStreamMatchesMaterializedVector) {
   const SystemKind kind = GetParam();
   for (const Scenario& scenario : Scenarios(*exp_)) {
@@ -110,22 +112,25 @@ TEST_P(StreamingEquivalence, LazyStreamMatchesMaterializedVector) {
     auto vec_scheduler = MakeScheduler(kind);
     const EngineResult vec_run = exp_->Run(*vec_scheduler, trace);
 
-    auto stream = scenario.make();
-    auto stream_scheduler = MakeScheduler(kind);
-    const EngineResult stream_run = exp_->Run(*stream_scheduler, *stream);
-
-    ExpectMetricsBitIdentical(vec_run.metrics, stream_run.metrics);
-    EXPECT_EQ(vec_run.end_time, stream_run.end_time);
-    EXPECT_EQ(vec_run.total_iterations, stream_run.total_iterations);
-    ASSERT_EQ(vec_run.iterations.size(), stream_run.iterations.size());
-    ASSERT_EQ(vec_run.requests.size(), stream_run.requests.size());
-    EXPECT_EQ(stream_run.requests.size(), trace.size());
-    for (size_t i = 0; i < vec_run.requests.size(); ++i) {
-      EXPECT_EQ(vec_run.requests[i].output, stream_run.requests[i].output) << "request " << i;
-      EXPECT_EQ(vec_run.requests[i].token_times, stream_run.requests[i].token_times)
-          << "request " << i;
-      EXPECT_EQ(vec_run.requests[i].finish_time, stream_run.requests[i].finish_time)
-          << "request " << i;
+    auto borrowed = scenario.make();
+    auto borrowed_scheduler = MakeScheduler(kind);
+    auto owned_scheduler = MakeScheduler(kind);
+    for (const EngineResult& stream_run :
+         {exp_->Run(*borrowed_scheduler, *borrowed),
+          exp_->Run(*owned_scheduler, WorkloadSource(scenario.make()))}) {
+      ExpectMetricsBitIdentical(vec_run.metrics, stream_run.metrics);
+      EXPECT_EQ(vec_run.end_time, stream_run.end_time);
+      EXPECT_EQ(vec_run.total_iterations, stream_run.total_iterations);
+      ASSERT_EQ(vec_run.iterations.size(), stream_run.iterations.size());
+      ASSERT_EQ(vec_run.requests.size(), stream_run.requests.size());
+      EXPECT_EQ(stream_run.requests.size(), trace.size());
+      for (size_t i = 0; i < vec_run.requests.size(); ++i) {
+        EXPECT_EQ(vec_run.requests[i].output, stream_run.requests[i].output) << "request " << i;
+        EXPECT_EQ(vec_run.requests[i].token_times, stream_run.requests[i].token_times)
+            << "request " << i;
+        EXPECT_EQ(vec_run.requests[i].finish_time, stream_run.requests[i].finish_time)
+            << "request " << i;
+      }
     }
   }
 }
