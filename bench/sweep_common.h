@@ -1,6 +1,6 @@
 // Shared sweep machinery for the end-to-end comparison benches
-// (Figs. 8, 9, 12 share the RPS sweep; Figs. 10, 11 fix RPS and vary one
-// workload knob). The sweep benches build their (system × point) grids as
+// (bench_rps_sweep runs the RPS sweep behind Figs. 8, 9 and 12; Figs. 10,
+// 11 fix RPS and vary one workload knob). The sweep benches build their (system × point) grids as
 // Cells and run them with RunCells (src/harness/sweep_runner.h);
 // --threads controls the worker count and --threads 1 runs every cell
 // inline in order (metrics are byte-identical at any thread count —

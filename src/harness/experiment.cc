@@ -103,10 +103,9 @@ std::unique_ptr<ArrivalStream> Experiment::RealTraceStream(double duration, doub
 }
 
 EngineResult Experiment::Run(Scheduler& scheduler, WorkloadSource workload,
-                             const EngineConfig& engine, int verify_budget,
-                             int draft_budget) const {
+                             const EngineConfig& engine, int verify_budget) const {
   Engine e(&target_, &draft_, &target_latency_, &draft_latency_, engine);
-  return e.Run(scheduler, std::move(workload), verify_budget, draft_budget);
+  return e.Run(scheduler, std::move(workload), verify_budget);
 }
 
 }  // namespace adaserve

@@ -153,7 +153,7 @@ std::vector<std::string> SplitFields(const std::string& line) {
 // --- recorder ----------------------------------------------------------------
 
 RunRecorder::RunRecorder(SystemKind kind, std::string setup_id, std::string label,
-                         const EngineConfig& engine, int verify_budget, int draft_budget)
+                         const EngineConfig& engine, int verify_budget)
     : kind_(kind) {
   artifact_.system = std::string(SystemName(kind));
   artifact_.setup_id = std::move(setup_id);
@@ -161,7 +161,6 @@ RunRecorder::RunRecorder(SystemKind kind, std::string setup_id, std::string labe
   artifact_.engine = engine;
   artifact_.engine.trace_sink = nullptr;
   artifact_.verify_budget = verify_budget;
-  artifact_.draft_budget = draft_budget;
 }
 
 void RunRecorder::OnArrival(const Request& request) {
@@ -211,7 +210,6 @@ std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
      << "\n";
   os << "tick.event_driven: " << (e.tick.event_driven ? 1 : 0) << "\n";
   os << "verify_budget: " << artifact.verify_budget << "\n";
-  os << "draft_budget: " << artifact.draft_budget << "\n";
 
   os << "arrivals: " << artifact.arrivals.size() << "\n";
   for (const Request& a : artifact.arrivals) {
@@ -309,7 +307,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
       priority < 0 ? std::nullopt : std::optional<PriorityPolicy>(static_cast<PriorityPolicy>(priority));
   if (!ReadKeyedBool(in, "tick.event_driven", &e.tick.event_driven, error)) return false;
   if (!ReadKeyedInt(in, "verify_budget", &out.verify_budget, error)) return false;
-  if (!ReadKeyedInt(in, "draft_budget", &out.draft_budget, error)) return false;
 
   long arrival_count = 0;
   if (!ReadKeyedLong(in, "arrivals", &arrival_count, error)) return false;
@@ -632,16 +629,14 @@ ReplayOutcome ReplayRun(const ReplayArtifact& artifact) {
 
   const Experiment exp(*setup);
   EngineConfig engine = artifact.engine;
-  RunRecorder recorder(*kind, artifact.setup_id, artifact.label, engine, artifact.verify_budget,
-                       artifact.draft_budget);
+  RunRecorder recorder(*kind, artifact.setup_id, artifact.label, engine, artifact.verify_budget);
   engine.trace_sink = &recorder;
   auto scheduler = MakeScheduler(*kind);
 
   // The run re-executes from the recorded arrivals alone: the workload
   // generator (and its seeds) is not consulted.
   ReplayOutcome outcome;
-  outcome.result = exp.Run(*scheduler, artifact.arrivals, engine, artifact.verify_budget,
-                           artifact.draft_budget);
+  outcome.result = exp.Run(*scheduler, artifact.arrivals, engine, artifact.verify_budget);
   const ReplayArtifact replayed = recorder.Finish(outcome.result);
   outcome.metrics_text = replayed.metrics_text;
 

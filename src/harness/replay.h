@@ -42,7 +42,9 @@ namespace adaserve {
 // v3: drops the async-planner header key and the 19th per-tick field
 //     (the planner's verdict) along with the planner itself.
 // v4: drops the boundary-mode header key along with boundary mode.
-inline constexpr int kReplaySchemaVersion = 4;
+// v5: drops the draft_budget header key; the draft budget is always
+//     derived from the roofline (DeriveDraftBudget).
+inline constexpr int kReplaySchemaVersion = 5;
 
 // A recorded run, self-contained up to the setup registry: everything
 // needed to re-execute and everything needed to check the re-execution.
@@ -58,7 +60,6 @@ struct ReplayArtifact {
   // The run's engine configuration (trace_sink excluded, of course).
   EngineConfig engine;
   int verify_budget = 0;
-  int draft_budget = 0;
   // Every request the engine pulled, in pull order, immutable fields only.
   std::vector<Request> arrivals;
   // Every progressing tick, in order.
@@ -72,7 +73,7 @@ struct ReplayArtifact {
 class RunRecorder final : public TickTraceSink {
  public:
   RunRecorder(SystemKind kind, std::string setup_id, std::string label,
-              const EngineConfig& engine, int verify_budget = 0, int draft_budget = 0);
+              const EngineConfig& engine, int verify_budget = 0);
 
   void OnArrival(const Request& request) override;
   void OnTick(const TickTraceEvent& event) override;

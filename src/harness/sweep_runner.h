@@ -4,29 +4,32 @@
 // simulation: a setup, a serving system, a workload, and an engine
 // config. RunCell builds a fresh Experiment, workload, and scheduler for
 // its cell and runs it once; RunCells fans a cell list out over a
-// SweepRunner's ThreadPool and returns results in input order, so the
+// SweepRunner's worker threads (plain std::jthreads that Map spawns and
+// joins per call) and returns results in input order, so the
 // output — and, because no simulator state crosses cells, every metric
 // byte — is identical at any thread count.
 // tests/sweep_parallel_equivalence_test.cc pins threads=1 ≡ threads=4
 // with the same GoldenMetricsText machinery that pins the golden
 // baselines.
 //
-// Thread-safety contract: a cell's workload factory runs on a pool
-// worker and must only read the Experiment it is handed and its own
+// Thread-safety contract: a cell's workload factory runs on a sweep
+// worker thread and must only read the Experiment it is handed and its own
 // captures. Custom tasks passed to Map must likewise build all simulator
 // state inside the task.
 #ifndef ADASERVE_SRC_HARNESS_SWEEP_RUNNER_H_
 #define ADASERVE_SRC_HARNESS_SWEEP_RUNNER_H_
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <functional>
-#include <future>
+#include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/common/stats.h"
-#include "src/common/thread_pool.h"
 #include "src/harness/comparisons.h"
 #include "src/harness/experiment.h"
 
@@ -43,8 +46,8 @@ struct Timed {
 class SweepRunner {
  public:
   // threads == 0 resolves to std::thread::hardware_concurrency().
-  // threads == 1 runs every task inline on the calling thread in
-  // submission order — exactly the historical serial path.
+  // threads == 1 runs every task inline on the calling thread in input
+  // order — the exact serial path.
   explicit SweepRunner(int threads = 0);
 
   int threads() const { return threads_; }
@@ -53,36 +56,48 @@ class SweepRunner {
   // harness time, what BenchJson records as the "harness / total" row).
   double total_wall_clock_s() const { return total_wall_clock_s_; }
 
-  // Runs all tasks across the pool and returns their results in input
-  // order regardless of completion order. If a task throws, the first
-  // (input-order) exception is rethrown in the caller after every task
-  // finished or was drained.
+  // Runs every task and returns their results in input order regardless
+  // of completion order. min(threads, tasks) - 1 helper threads plus the
+  // calling thread claim task indices from one shared counter; threads
+  // == 1 runs every task on the calling thread, in input order. If tasks
+  // throw, the first (input-order) exception is rethrown in the caller
+  // after every task has run.
   template <typename T>
   std::vector<Timed<T>> Map(const std::vector<std::function<T()>>& tasks) {
     const auto sweep_start = std::chrono::steady_clock::now();
-    std::vector<Timed<T>> results;
-    results.reserve(tasks.size());
+    std::vector<std::optional<Timed<T>>> slots(tasks.size());
+    std::vector<std::exception_ptr> errors(tasks.size());
+    std::atomic<size_t> next{0};
+    const auto work = [&] {
+      for (size_t i = next++; i < tasks.size(); i = next++) {
+        const auto start = std::chrono::steady_clock::now();
+        try {
+          slots[i].emplace(Timed<T>{tasks[i](), 0.0});
+          slots[i]->wall_clock_s = SecondsSince(start);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+    };
     {
-      // Never spin up more workers than there are tasks.
-      const int workers =
-          threads_ <= 1 ? 0 : static_cast<int>(std::min<size_t>(
-                                  static_cast<size_t>(threads_), tasks.size()));
-      ThreadPool pool(workers);
-      std::vector<std::future<Timed<T>>> futures;
-      futures.reserve(tasks.size());
-      for (const std::function<T()>& task : tasks) {
-        futures.push_back(pool.Submit([&task] {
-          const auto start = std::chrono::steady_clock::now();
-          Timed<T> timed{task(), 0.0};
-          timed.wall_clock_s = SecondsSince(start);
-          return timed;
-        }));
+      const size_t workers = std::min(static_cast<size_t>(threads_), tasks.size());
+      std::vector<std::jthread> helpers;  // Joined when the scope ends.
+      for (size_t w = 1; w < workers; ++w) {
+        helpers.emplace_back(work);
       }
-      for (std::future<Timed<T>>& future : futures) {
-        results.push_back(future.get());
-      }
+      work();
     }
     total_wall_clock_s_ += SecondsSince(sweep_start);
+    for (const std::exception_ptr& error : errors) {
+      if (error) {
+        std::rethrow_exception(error);
+      }
+    }
+    std::vector<Timed<T>> results;
+    results.reserve(tasks.size());
+    for (std::optional<Timed<T>>& slot : slots) {
+      results.push_back(std::move(*slot));
+    }
     return results;
   }
 
@@ -103,7 +118,7 @@ struct Cell {
   SystemKind system = SystemKind::kAdaServe;
   // Builds the cell's workload — a request vector or an owned lazy
   // stream — on the cell's own Experiment. Called once per run, from a
-  // pool worker.
+  // sweep worker thread.
   std::function<WorkloadSource(const Experiment& exp)> workload;
   EngineConfig engine;
   double x = 0.0;

@@ -25,9 +25,6 @@ GpuSpec A100_80G();
 // 989 TFLOPS fp16 tensor.
 GpuSpec H100_80G();
 
-// NVIDIA L4 24GB (small-deployment ablation): 300 GB/s, 121 TFLOPS fp16.
-GpuSpec L4_24G();
-
 }  // namespace adaserve
 
 #endif  // ADASERVE_SRC_HW_GPU_H_

@@ -19,8 +19,7 @@ Engine::Engine(const SyntheticLm* target, const DraftLm* draft, const LatencyMod
   ADASERVE_CHECK(config_.arrival_horizon >= 0) << "negative arrival horizon";
 }
 
-EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify_budget,
-                         int draft_budget) {
+EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify_budget) {
   ArrivalStream& stream = source.stream();
   KvCache kv(target_latency_->KvCacheBytes(), target_latency_->model().KvBytesPerToken());
   RequestPool pool(&kv);
@@ -34,8 +33,7 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
   ctx.draft_latency = draft_latency_;
   ctx.mode = config_.mode;
   ctx.verify_budget = verify_budget > 0 ? verify_budget : DeriveTokenBudget(*target_latency_);
-  ctx.draft_budget =
-      draft_budget > 0 ? draft_budget : DeriveDraftBudget(*target_latency_, *draft_latency_);
+  ctx.draft_budget = DeriveDraftBudget(*target_latency_, *draft_latency_);
   ctx.rng = &rng;
   // The whole tick policy crosses the engine boundary as one value:
   // ResolvedFor fills an unset admission priority from the scheduler's

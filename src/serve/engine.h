@@ -14,8 +14,8 @@
 // resident request count proportional to the active set, not the trace.
 // (End-of-run metrics still keep two scalar samples per finished request
 // for percentile queries — ~16 bytes each, the only per-request remnant.)
-// The classic vector overload wraps the trace in a MaterializedStream and
-// behaves exactly as before.
+// An arrival-sorted request vector is served the same way: WorkloadSource
+// wraps it in a MaterializedStream.
 #ifndef ADASERVE_SRC_SERVE_ENGINE_H_
 #define ADASERVE_SRC_SERVE_ENGINE_H_
 
@@ -116,11 +116,11 @@ class Engine {
   // Serves `source` — a live ArrivalStream (pulled lazily) or an
   // arrival-sorted request vector (adapted via MaterializedStream), both
   // of which convert implicitly — with `scheduler` until the stream is
-  // exhausted and the pool drains. `verify_budget`/`draft_budget`
-  // parameterise the ServingContext; pass 0 to derive them from the
-  // roofline (DeriveTokenBudget).
-  EngineResult Run(Scheduler& scheduler, WorkloadSource source, int verify_budget = 0,
-                   int draft_budget = 0);
+  // exhausted and the pool drains. `verify_budget` sets the
+  // ServingContext's verification budget; 0 derives it from the roofline
+  // (DeriveTokenBudget). The draft budget is always derived
+  // (DeriveDraftBudget).
+  EngineResult Run(Scheduler& scheduler, WorkloadSource source, int verify_budget = 0);
 
  private:
   const SyntheticLm* target_;

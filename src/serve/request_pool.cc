@@ -196,19 +196,6 @@ void RequestPool::CommitToken(RequestId id, Token token, SimTime now) {
   }
 }
 
-void RequestPool::Preempt(RequestId id) {
-  Request& req = Get(id);
-  ADASERVE_CHECK(req.state == RequestState::kPrefilling || req.state == RequestState::kRunning)
-      << "preempt on inactive " << id;
-  auto it = std::find(active_.begin(), active_.end(), id);
-  ADASERVE_CHECK(it != active_.end()) << "preempted request not active " << id;
-  active_.erase(it);
-  // KV stays resident (swap-free preemption); the request resumes where it
-  // stopped, jumping the admission queue.
-  req.state = RequestState::kQueued;
-  queued_.push_front(id);
-}
-
 void RequestPool::Reject(RequestId id, SimTime now) {
   Request& req = Get(id);
   ADASERVE_CHECK(req.state == RequestState::kQueued || req.state == RequestState::kPaused)

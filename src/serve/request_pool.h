@@ -120,11 +120,6 @@ class RequestPool {
   // releases its KV.
   void CommitToken(RequestId id, Token token, SimTime now);
 
-  // Deactivates a running/prefilling request (FastServe/priority
-  // preemption). KV stays resident; the request returns to the front of the
-  // admission queue and resumes without re-prefilling.
-  void Preempt(RequestId id);
-
   // Admission-control rejection: removes a *queued* request from the
   // admission queue and marks it kRejected (terminal, finish_time = now,
   // no KV, no service). Rejected requests retire like finished ones but

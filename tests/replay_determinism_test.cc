@@ -120,14 +120,14 @@ TEST(ReplayArtifactTest, TruncationAndVersionMismatchAreParseErrors) {
   EXPECT_FALSE(ParseReplayArtifact(future, &parsed, &error));
   EXPECT_NE(error.find("unsupported replay schema"), std::string::npos) << error;
 
-  // Schema 3 (the last one with the boundary-mode header key) is refused
+  // Schema 4 (the last one with the draft_budget header key) is refused
   // by version rather than misparsed.
-  ASSERT_EQ(kReplaySchemaVersion, 4);
-  std::string v3 = text;
-  v3.replace(0, header.size(), "adaserve_replay_schema: 3");
+  ASSERT_EQ(kReplaySchemaVersion, 5);
+  std::string v4 = text;
+  v4.replace(0, header.size(), "adaserve_replay_schema: 4");
   error.clear();
-  EXPECT_FALSE(ParseReplayArtifact(v3, &parsed, &error));
-  EXPECT_NE(error.find("unsupported replay schema 3"), std::string::npos) << error;
+  EXPECT_FALSE(ParseReplayArtifact(v4, &parsed, &error));
+  EXPECT_NE(error.find("unsupported replay schema 4"), std::string::npos) << error;
 }
 
 // A single flipped bit in a recorded tick is caught, and the divergence

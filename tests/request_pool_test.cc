@@ -99,22 +99,6 @@ TEST_F(RequestPoolTest, AvgTpotFromTimestamps) {
   EXPECT_FALSE(pool_.Get(0).Attained());  // 100ms > 50ms SLO
 }
 
-TEST_F(RequestPoolTest, PreemptKeepsStateAndRequeuesFront) {
-  pool_.AddArrival(MakeRequest(0, 20, 4));
-  pool_.AddArrival(MakeRequest(1, 20, 4));
-  pool_.AdmitUpTo(10);
-  pool_.AdvancePrefill(0, 20);
-  pool_.CommitToken(0, 5, 1.0);
-  pool_.Preempt(0);
-  EXPECT_EQ(pool_.Get(0).state, RequestState::kQueued);
-  EXPECT_EQ(pool_.queued().front(), 0);
-  EXPECT_GT(kv_.HeldBy(0), 0);  // KV kept resident
-  // Re-admission restores kRunning without re-prefill.
-  EXPECT_EQ(pool_.TryAdmit(10), 0);
-  EXPECT_EQ(pool_.Get(0).state, RequestState::kRunning);
-  EXPECT_EQ(pool_.Get(0).output_len(), 1);
-}
-
 TEST_F(RequestPoolTest, SumContextTokens) {
   pool_.AddArrival(MakeRequest(0, 10, 4));
   pool_.AddArrival(MakeRequest(1, 30, 4));

@@ -4,13 +4,20 @@
 // golden streaming-scenario cells fed from owned lazy streams — serially
 // (threads=1, every cell inline in order) and in parallel (threads=4),
 // and asserts byte-identical GoldenMetricsText per cell: fanning cells
-// out over the ThreadPool must not change a single metric byte, because
-// each cell rebuilds its full simulator state from deterministic seeds.
-// Also pins the per-cell Experiment reconstruction against the
-// shared-Experiment serial reference, and the seed-sharded aggregates.
+// out over sweep worker threads must not change a single metric byte,
+// because each cell rebuilds its full simulator state from deterministic
+// seeds. Also pins the per-cell Experiment reconstruction against the
+// shared-Experiment serial reference, the seed-sharded aggregates, and
+// SweepRunner::Map's own contract (input order, the serial path,
+// exception propagation).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <mutex>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "bench/sweep_common.h"
 #include "tests/test_util.h"
@@ -175,6 +182,86 @@ TEST(SweepParallelEquivalence, CellExceptionReachesTheCaller) {
                                        });
   SweepRunner runner(4);
   EXPECT_THROW(RunCells(runner, cells), std::runtime_error);
+}
+
+// --- SweepRunner::Map contract ---
+
+TEST(SweepRunnerMap, ResultsComeBackInInputOrderWhenTasksFinishOutOfOrder) {
+  constexpr int kTasks = 32;
+  std::vector<std::function<int()>> tasks;
+  for (int i = 0; i < kTasks; ++i) {
+    tasks.push_back([i] {
+      // Earlier tasks sleep longer, so completion order inverts input
+      // order across the workers.
+      std::this_thread::sleep_for(std::chrono::microseconds((kTasks - i) * 50));
+      return i * i;
+    });
+  }
+  SweepRunner runner(4);
+  const std::vector<Timed<int>> results = runner.Map(tasks);
+  ASSERT_EQ(results.size(), tasks.size());
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(results[static_cast<size_t>(i)].value, i * i);
+    EXPECT_GT(results[static_cast<size_t>(i)].wall_clock_s, 0.0);
+  }
+}
+
+TEST(SweepRunnerMap, OneThreadRunsEveryTaskOnTheCallingThreadInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;  // Only contended if Map wrongly fans out.
+  std::vector<int> order;
+  std::vector<std::function<std::thread::id()>> tasks;
+  for (int i = 0; i < 16; ++i) {
+    tasks.push_back([i, &mu, &order] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+      return std::this_thread::get_id();
+    });
+  }
+  SweepRunner runner(1);
+  const std::vector<Timed<std::thread::id>> ran_on = runner.Map(tasks);
+  ASSERT_EQ(order.size(), tasks.size());
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<int>(i));
+    EXPECT_EQ(ran_on[i].value, caller);
+  }
+}
+
+// Tasks 2 and 5 throw; task 2 sleeps first so that, with workers, task
+// 5's exception is raised earlier in time. The caller still sees task 2's
+// exception, and only after all eight tasks ran.
+TEST(SweepRunnerMap, FirstInputOrderExceptionRethrownAfterEveryTaskRan) {
+  for (int threads : {1, 4}) {
+    std::atomic<int> ran{0};
+    std::vector<std::function<int()>> tasks;
+    for (int i = 0; i < 8; ++i) {
+      tasks.push_back([i, &ran] {
+        if (i == 2) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        ++ran;
+        if (i == 2 || i == 5) {
+          throw std::runtime_error("task " + std::to_string(i));
+        }
+        return i;
+      });
+    }
+    SweepRunner runner(threads);
+    try {
+      runner.Map(tasks);
+      ADD_FAILURE() << "threads=" << threads << ": expected a task's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 2") << "threads=" << threads;
+    }
+    EXPECT_EQ(ran.load(), 8) << "threads=" << threads;
+  }
+}
+
+TEST(SweepRunnerMap, EmptyTaskListReturnsEmpty) {
+  for (int threads : {1, 4}) {
+    SweepRunner runner(threads);
+    EXPECT_TRUE(runner.Map(std::vector<std::function<int()>>{}).empty());
+  }
 }
 
 }  // namespace
