@@ -1,7 +1,9 @@
 #include "src/model/distribution.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/arena.h"
 #include "src/common/logging.h"
@@ -9,59 +11,132 @@
 namespace adaserve {
 namespace {
 
-constexpr double kMinMass = 1e-12;
+using Entry = SparseDist::Entry;
+using Entries = SmallVector<Entry, SparseDist::kInlineEntries>;
 
-// Inline capacity covering every configured support size (default 24,
-// draft mixes see the union of two supports). Larger supports spill to
-// the heap transparently.
-constexpr size_t kInlineSupport = 64;
+// Supports up to this size coalesce through a TokenIndex and sort by
+// insertion; larger ones scan and use std::sort.
+constexpr size_t kIndexedSupport = 64;
 
-void SortEntries(std::vector<SparseDist::Entry>& entries) {
-  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-    if (a.prob != b.prob) {
-      return a.prob > b.prob;
-    }
-    return a.token < b.token;
-  });
+bool EntryBefore(const Entry& a, const Entry& b) {
+  if (a.prob != b.prob) {
+    return a.prob > b.prob;
+  }
+  return a.token < b.token;
 }
+
+// Near-linear on the inputs it gets: target weights follow the Zipf rank
+// order up to jitter, and merged Mix runs are out of order only at ties.
+void InsertionSort(std::span<Entry> entries) {
+  for (size_t i = 1; i < entries.size(); ++i) {
+    if (!EntryBefore(entries[i], entries[i - 1])) {
+      continue;
+    }
+    const Entry e = entries[i];
+    size_t j = i;
+    for (; j > 0 && EntryBefore(e, entries[j - 1]); --j) {
+      entries[j] = entries[j - 1];
+    }
+    entries[j] = e;
+  }
+}
+
+void SortEntries(std::span<Entry> entries) {
+  if (entries.size() <= kIndexedSupport) {
+    InsertionSort(entries);
+  } else {
+    std::sort(entries.begin(), entries.end(), EntryBefore);
+  }
+}
+
+// Open-addressed token -> entry-index table, at load factor <= 1/2.
+class TokenIndex {
+ public:
+  // Index of `token` among `entries` if present; otherwise records it as
+  // the next entry, entries[entries.size()], and returns -1.
+  int FindOrInsert(std::span<const Entry> entries, Token token) {
+    size_t s = (static_cast<uint32_t>(token) * 0x9e3779b1u) >> (32 - std::countr_zero(kSlots));
+    for (; slots_[s] != 0; s = (s + 1) & (kSlots - 1)) {
+      if (entries[slots_[s] - 1].token == token) {
+        return slots_[s] - 1;
+      }
+    }
+    slots_[s] = static_cast<uint8_t>(entries.size() + 1);
+    return -1;
+  }
+
+ private:
+  static constexpr size_t kSlots = 2 * kIndexedSupport;
+  static_assert(std::has_single_bit(kSlots) && kIndexedSupport < 255);
+
+  // entry index + 1; 0 marks an empty slot.
+  uint8_t slots_[kSlots] = {};
+};
+
+// Appends (token, weight) terms to `entries`, coalescing duplicate tokens,
+// under the bit-identity rules in distribution.h: each token's terms and
+// the total add up in the order the terms arrive.
+class Coalescer {
+ public:
+  // `terms` bounds the number of Add calls.
+  Coalescer(Entries& entries, size_t terms)
+      : entries_(entries), indexed_(terms <= kIndexedSupport) {}
+
+  // Non-positive weights are dropped.
+  void Add(Token token, double weight) {
+    if (weight <= 0.0) {
+      return;
+    }
+    total_ += weight;
+    const int found = indexed_ ? index_.FindOrInsert({entries_.data(), entries_.size()}, token)
+                               : ScanFor(token);
+    if (found >= 0) {
+      entries_[static_cast<size_t>(found)].prob += weight;
+      coalesced_ = true;
+    } else {
+      entries_.push_back({token, weight});
+    }
+  }
+
+  // Whether any token arrived twice.
+  bool coalesced() const { return coalesced_; }
+
+  void Normalise() {
+    ADASERVE_CHECK(total_ > 0.0) << "distribution has no mass";
+    for (Entry& e : entries_) {
+      e.prob /= total_;
+    }
+  }
+
+ private:
+  int ScanFor(Token token) const {
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].token == token) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  }
+
+  Entries& entries_;
+  const bool indexed_;
+  TokenIndex index_;
+  double total_ = 0.0;
+  bool coalesced_ = false;
+};
 
 }  // namespace
 
 SparseDist SparseDist::FromWeights(std::span<const Token> tokens, std::span<const double> weights) {
   ADASERVE_CHECK(tokens.size() == weights.size()) << "token/weight size mismatch";
-  // Coalesce duplicates by linear probing into the output buffer itself:
-  // supports are tens of tokens, so a scan beats the former std::map (and
-  // its node allocation per entry) by a wide margin. Per-token weight sums
-  // and the total accumulate in input order, exactly as the map-based
-  // version did, so every double — and therefore the final sorted entry
-  // array — is bit-identical to the historical output.
   SparseDist dist;
-  std::vector<Entry>& entries = dist.entries_;
-  entries.reserve(tokens.size());
-  double total = 0.0;
+  Coalescer coalescer(dist.entries_, tokens.size());
   for (size_t i = 0; i < tokens.size(); ++i) {
     ADASERVE_CHECK(weights[i] >= 0.0) << "negative weight for token " << tokens[i];
-    if (weights[i] <= 0.0) {
-      continue;
-    }
-    total += weights[i];
-    bool merged = false;
-    for (Entry& e : entries) {
-      if (e.token == tokens[i]) {
-        e.prob += weights[i];
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      entries.push_back({tokens[i], weights[i]});
-    }
+    coalescer.Add(tokens[i], weights[i]);
   }
-  ADASERVE_CHECK(total > 0.0) << "distribution has no mass";
-  for (Entry& e : entries) {
-    e.prob /= total;
-  }
-  SortEntries(entries);
+  coalescer.Normalise();
+  SortEntries({dist.entries_.data(), dist.entries_.size()});
   return dist;
 }
 
@@ -82,7 +157,7 @@ double SparseDist::ProbOf(Token token) const {
 
 Token SparseDist::ArgMax() const {
   ADASERVE_CHECK(!entries_.empty()) << "ArgMax of empty distribution";
-  return entries_.front().token;
+  return entries_[0].token;
 }
 
 Token SparseDist::Sample(Rng& rng) const {
@@ -108,33 +183,6 @@ double SparseDist::Entropy() const {
   return h;
 }
 
-SparseDist SparseDist::Residual(const SparseDist& q) const {
-  SmallVector<Token, kInlineSupport> tokens;
-  SmallVector<double, kInlineSupport> weights;
-  double total = 0.0;
-  for (const Entry& e : entries_) {
-    const double w = std::max(e.prob - q.ProbOf(e.token), 0.0);
-    tokens.push_back(e.token);
-    weights.push_back(w);
-    total += w;
-  }
-  if (total <= kMinMass) {
-    return *this;
-  }
-  return FromWeights({tokens.data(), tokens.size()}, {weights.data(), weights.size()});
-}
-
-SparseDist SparseDist::WithTemperature(double t) const {
-  ADASERVE_CHECK(t > 0.0) << "temperature must be positive";
-  SmallVector<Token, kInlineSupport> tokens;
-  SmallVector<double, kInlineSupport> weights;
-  for (const Entry& e : entries_) {
-    tokens.push_back(e.token);
-    weights.push_back(std::pow(e.prob, 1.0 / t));
-  }
-  return FromWeights({tokens.data(), tokens.size()}, {weights.data(), weights.size()});
-}
-
 double SparseDist::TotalMass() const {
   double total = 0.0;
   for (const Entry& e : entries_) {
@@ -145,17 +193,35 @@ double SparseDist::TotalMass() const {
 
 SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight) {
   ADASERVE_CHECK(weight >= 0.0 && weight <= 1.0) << "mix weight out of range: " << weight;
-  SmallVector<Token, kInlineSupport> tokens;
-  SmallVector<double, kInlineSupport> weights;
-  for (const auto& e : a.entries()) {
-    tokens.push_back(e.token);
-    weights.push_back(weight * e.prob);
+  SparseDist dist;
+  Entries& entries = dist.entries_;
+  const size_t terms = a.size() + b.size();
+  Coalescer coalescer(entries, terms);
+  for (const Entry& e : a.entries_) {
+    coalescer.Add(e.token, weight * e.prob);
   }
-  for (const auto& e : b.entries()) {
-    tokens.push_back(e.token);
-    weights.push_back((1.0 - weight) * e.prob);
+  const auto a_run = static_cast<std::ptrdiff_t>(entries.size());
+  for (const Entry& e : b.entries_) {
+    coalescer.Add(e.token, (1.0 - weight) * e.prob);
   }
-  return SparseDist::FromWeights({tokens.data(), tokens.size()}, {weights.data(), weights.size()});
+  coalescer.Normalise();
+  const std::span<Entry> all(entries.data(), entries.size());
+  if (coalescer.coalesced() || terms > kIndexedSupport) {
+    // A coalesced token's sum leaves its run's order, and wide supports
+    // would outgrow the merge buffer.
+    SortEntries(all);
+    return dist;
+  }
+  // Each input is sorted and duplicate-free, and scaling and dividing are
+  // monotone, so both runs are still in descending prob order; rounding can
+  // only merge neighbouring probs into ties whose tokens are out of order.
+  // Merge the runs on prob, then let insertion order the ties by token.
+  Entry merged[kIndexedSupport];
+  std::merge(all.begin(), all.begin() + a_run, all.begin() + a_run, all.end(), merged,
+             [](const Entry& x, const Entry& y) { return x.prob > y.prob; });
+  std::copy(merged, merged + all.size(), all.begin());
+  InsertionSort(all);
+  return dist;
 }
 
 }  // namespace adaserve

@@ -1,11 +1,46 @@
 #include "src/model/synthetic_lm.h"
 
+#include <bit>
 #include <cmath>
+#include <deque>
+#include <mutex>
+#include <vector>
 
 #include "src/common/arena.h"
 #include "src/common/logging.h"
 
 namespace adaserve {
+namespace {
+
+// Zipf weights (i+1)^-exponent, i < support, computed once per process for
+// each (support, exponent) shape. Rows are appended under the mutex and
+// never move or change afterwards, so the returned span stays valid for the
+// life of the process and may be read without the lock.
+std::span<const double> ZipfWeights(int support, double exponent) {
+  struct Row {
+    int support;
+    uint64_t exponent_bits;
+    std::vector<double> weights;
+  };
+  static std::mutex mu;
+  static std::deque<Row> rows;  // Guarded by mu.
+  const auto bits = std::bit_cast<uint64_t>(exponent);
+  std::lock_guard<std::mutex> lock(mu);
+  for (const Row& row : rows) {
+    if (row.support == support && row.exponent_bits == bits) {
+      return row.weights;
+    }
+  }
+  std::vector<double> weights;
+  weights.reserve(static_cast<size_t>(support));
+  for (int i = 0; i < support; ++i) {
+    weights.push_back(std::pow(static_cast<double>(i + 1), -exponent));
+  }
+  rows.push_back({support, bits, std::move(weights)});
+  return rows.back().weights;
+}
+
+}  // namespace
 
 SyntheticLm::SyntheticLm(const LmConfig& config) : config_(config) {
   ADASERVE_CHECK(config_.vocab_size > 1) << "vocab too small";
@@ -14,6 +49,7 @@ SyntheticLm::SyntheticLm(const LmConfig& config) : config_(config) {
   ADASERVE_CHECK(config_.context_order >= 1) << "context order must be >= 1";
   ADASERVE_CHECK(config_.weight_jitter >= 0.0 && config_.weight_jitter < 1.0)
       << "jitter must be in [0, 1)";
+  zipf_ = ZipfWeights(config_.support, config_.zipf_exponent);
 }
 
 SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context) const {
@@ -36,9 +72,8 @@ SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context
     const auto token = static_cast<Token>(r1 % static_cast<uint64_t>(config_.vocab_size));
     const double jitter_u = static_cast<double>(r2 >> 11) * 0x1.0p-53;
     const double jitter = 1.0 + config_.weight_jitter * (2.0 * jitter_u - 1.0);
-    const double zipf = std::pow(static_cast<double>(i + 1), -config_.zipf_exponent);
     tokens.push_back(token);
-    weights.push_back(zipf * jitter);
+    weights.push_back(zipf_[static_cast<size_t>(i)] * jitter);
   }
   return SparseDist::FromWeights({tokens.data(), tokens.size()},
                                  {weights.data(), weights.size()});

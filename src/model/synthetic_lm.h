@@ -46,6 +46,8 @@ class SyntheticLm {
 
  private:
   LmConfig config_;
+  // (i+1)^-zipf_exponent for i < support, shared by every LM of that shape.
+  std::span<const double> zipf_;
 };
 
 }  // namespace adaserve

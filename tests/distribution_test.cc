@@ -80,51 +80,6 @@ TEST(SparseDist, EntropyOfPointMassIsZero) {
   EXPECT_NEAR(SparseDist::PointMass(1).Entropy(), 0.0, 1e-12);
 }
 
-TEST(SparseDist, ResidualSubtractsAndRenormalises) {
-  // p = {a: .5, b: .5}, q = {a: .5, b: .25, c: .25}
-  // max(p-q, 0) = {a: 0, b: .25} -> normalised {b: 1.0}.
-  const SparseDist p = MakeDist({1, 2}, {0.5, 0.5});
-  const SparseDist q = MakeDist({1, 2, 3}, {0.5, 0.25, 0.25});
-  const SparseDist r = p.Residual(q);
-  EXPECT_NEAR(r.ProbOf(2), 1.0, 1e-12);
-  EXPECT_EQ(r.ProbOf(1), 0.0);
-}
-
-TEST(SparseDist, ResidualOfIdenticalDistributionsFallsBack) {
-  const SparseDist p = MakeDist({1, 2}, {0.5, 0.5});
-  const SparseDist r = p.Residual(p);
-  // Degenerate case (acceptance prob 1): returns p unchanged.
-  EXPECT_NEAR(r.ProbOf(1), 0.5, 1e-12);
-}
-
-TEST(SparseDist, ResidualSupportIsSubsetOfP) {
-  const SparseDist p = MakeDist({1, 2}, {0.7, 0.3});
-  const SparseDist q = MakeDist({3, 4}, {0.5, 0.5});
-  const SparseDist r = p.Residual(q);
-  EXPECT_NEAR(r.ProbOf(1), 0.7, 1e-12);
-  EXPECT_EQ(r.ProbOf(3), 0.0);
-}
-
-TEST(SparseDist, TemperatureOneIsIdentity) {
-  const SparseDist p = MakeDist({1, 2}, {0.7, 0.3});
-  const SparseDist t = p.WithTemperature(1.0);
-  EXPECT_NEAR(t.ProbOf(1), 0.7, 1e-12);
-}
-
-TEST(SparseDist, LowTemperatureSharpens) {
-  const SparseDist p = MakeDist({1, 2}, {0.7, 0.3});
-  const SparseDist t = p.WithTemperature(0.25);
-  EXPECT_GT(t.ProbOf(1), 0.9);
-  EXPECT_EQ(t.ArgMax(), p.ArgMax());
-}
-
-TEST(SparseDist, HighTemperatureFlattens) {
-  const SparseDist p = MakeDist({1, 2}, {0.7, 0.3});
-  const SparseDist t = p.WithTemperature(10.0);
-  EXPECT_LT(t.ProbOf(1), 0.6);
-  EXPECT_GT(t.ProbOf(2), 0.4);
-}
-
 TEST(Mix, WeightedAverageOverUnionSupport) {
   const SparseDist a = MakeDist({1, 2}, {0.5, 0.5});
   const SparseDist b = MakeDist({2, 3}, {0.5, 0.5});
@@ -140,37 +95,6 @@ TEST(Mix, ExtremeWeightsRecoverInputs) {
   EXPECT_NEAR(Mix(a, b, 1.0).ProbOf(1), 1.0, 1e-12);
   EXPECT_NEAR(Mix(a, b, 0.0).ProbOf(2), 1.0, 1e-12);
 }
-
-// Property sweep: residual mass of p w.r.t. q equals
-// sum(max(p - q, 0)) / that sum, and total mass stays 1.
-class ResidualPropertySweep : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ResidualPropertySweep, ResidualIsNormalisedAndCorrect) {
-  Rng rng(GetParam());
-  std::vector<Token> tokens;
-  std::vector<double> wp;
-  std::vector<double> wq;
-  for (Token t = 0; t < 12; ++t) {
-    tokens.push_back(t);
-    wp.push_back(rng.Uniform() + 0.01);
-    wq.push_back(rng.Uniform() + 0.01);
-  }
-  const SparseDist p = SparseDist::FromWeights(tokens, wp);
-  const SparseDist q = SparseDist::FromWeights(tokens, wq);
-  const SparseDist r = p.Residual(q);
-  EXPECT_NEAR(r.TotalMass(), 1.0, 1e-9);
-  // Verify proportionality on one token with positive residual.
-  double total = 0.0;
-  for (Token t = 0; t < 12; ++t) {
-    total += std::max(p.ProbOf(t) - q.ProbOf(t), 0.0);
-  }
-  for (Token t = 0; t < 12; ++t) {
-    const double expected = std::max(p.ProbOf(t) - q.ProbOf(t), 0.0) / total;
-    EXPECT_NEAR(r.ProbOf(t), expected, 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ResidualPropertySweep, ::testing::Range<uint64_t>(0, 10));
 
 }  // namespace
 }  // namespace adaserve
