@@ -1,6 +1,5 @@
 #include "src/model/distribution.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -14,38 +13,24 @@ namespace {
 using Entry = SparseDist::Entry;
 using Entries = SmallVector<Entry, SparseDist::kInlineEntries>;
 
-// Supports up to this size coalesce through a TokenIndex and sort by
-// insertion; larger ones scan and use std::sort.
+// Supports up to this size coalesce through a TokenIndex; larger ones scan.
 constexpr size_t kIndexedSupport = 64;
 
-bool EntryBefore(const Entry& a, const Entry& b) {
-  if (a.prob != b.prob) {
-    return a.prob > b.prob;
-  }
-  return a.token < b.token;
-}
-
-// Near-linear on the inputs it gets: target weights follow the Zipf rank
-// order up to jitter, and merged Mix runs are out of order only at ties.
-void InsertionSort(std::span<Entry> entries) {
+// Orders entries by prob descending, then token ascending. Near-linear on
+// the inputs it gets: target weights follow the Zipf rank order up to
+// jitter, and a Mix is two such runs back to back. Every configured LM has
+// at most 48 terms, so the quadratic worst case never runs at size.
+void SortEntries(std::span<Entry> entries) {
+  const auto before = [](const Entry& a, const Entry& b) {
+    return a.prob != b.prob ? a.prob > b.prob : a.token < b.token;
+  };
   for (size_t i = 1; i < entries.size(); ++i) {
-    if (!EntryBefore(entries[i], entries[i - 1])) {
-      continue;
-    }
     const Entry e = entries[i];
     size_t j = i;
-    for (; j > 0 && EntryBefore(e, entries[j - 1]); --j) {
+    for (; j > 0 && before(e, entries[j - 1]); --j) {
       entries[j] = entries[j - 1];
     }
     entries[j] = e;
-  }
-}
-
-void SortEntries(std::span<Entry> entries) {
-  if (entries.size() <= kIndexedSupport) {
-    InsertionSort(entries);
-  } else {
-    std::sort(entries.begin(), entries.end(), EntryBefore);
   }
 }
 
@@ -92,14 +77,10 @@ class Coalescer {
                                : ScanFor(token);
     if (found >= 0) {
       entries_[static_cast<size_t>(found)].prob += weight;
-      coalesced_ = true;
     } else {
       entries_.push_back({token, weight});
     }
   }
-
-  // Whether any token arrived twice.
-  bool coalesced() const { return coalesced_; }
 
   void Normalise() {
     ADASERVE_CHECK(total_ > 0.0) << "distribution has no mass";
@@ -122,7 +103,6 @@ class Coalescer {
   const bool indexed_;
   TokenIndex index_;
   double total_ = 0.0;
-  bool coalesced_ = false;
 };
 
 }  // namespace
@@ -194,33 +174,15 @@ double SparseDist::TotalMass() const {
 SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight) {
   ADASERVE_CHECK(weight >= 0.0 && weight <= 1.0) << "mix weight out of range: " << weight;
   SparseDist dist;
-  Entries& entries = dist.entries_;
-  const size_t terms = a.size() + b.size();
-  Coalescer coalescer(entries, terms);
+  Coalescer coalescer(dist.entries_, a.size() + b.size());
   for (const Entry& e : a.entries_) {
     coalescer.Add(e.token, weight * e.prob);
   }
-  const auto a_run = static_cast<std::ptrdiff_t>(entries.size());
   for (const Entry& e : b.entries_) {
     coalescer.Add(e.token, (1.0 - weight) * e.prob);
   }
   coalescer.Normalise();
-  const std::span<Entry> all(entries.data(), entries.size());
-  if (coalescer.coalesced() || terms > kIndexedSupport) {
-    // A coalesced token's sum leaves its run's order, and wide supports
-    // would outgrow the merge buffer.
-    SortEntries(all);
-    return dist;
-  }
-  // Each input is sorted and duplicate-free, and scaling and dividing are
-  // monotone, so both runs are still in descending prob order; rounding can
-  // only merge neighbouring probs into ties whose tokens are out of order.
-  // Merge the runs on prob, then let insertion order the ties by token.
-  Entry merged[kIndexedSupport];
-  std::merge(all.begin(), all.begin() + a_run, all.begin() + a_run, all.end(), merged,
-             [](const Entry& x, const Entry& y) { return x.prob > y.prob; });
-  std::copy(merged, merged + all.size(), all.begin());
-  InsertionSort(all);
+  SortEntries({dist.entries_.data(), dist.entries_.size()});
   return dist;
 }
 

@@ -2,7 +2,7 @@
 //
 // Every served metric depends on the exact doubles the synthetic target and
 // draft models emit, so the kernel's fast paths (the shared Zipf table,
-// hashed duplicate coalescing, merge-based Mix) must reproduce the plain
+// hashed duplicate coalescing, insertion sort) must reproduce the plain
 // coalesce-then-sort arithmetic bit for bit. The checksums below were
 // recorded from that plain implementation.
 #include <gtest/gtest.h>
@@ -188,7 +188,7 @@ TEST(ModelKernel, MixMatchesReferenceBitForBit) {
   const MixCase cases[] = {
       {24, 24, 0, 40, 0},       // Heavily overlapping supports.
       {24, 24, 0, 32000, 0},    // Realistic: rare collisions.
-      {24, 24, 1000, 1000, 0},  // Disjoint: pure merge path.
+      {24, 24, 1000, 1000, 0},  // Disjoint: nothing coalesces.
       {24, 24, 1000, 1000, 3},  // Disjoint with ties.
       {24, 24, 0, 30, 2},       // Overlapping with ties.
       {40, 40, 1000, 1000, 0},  // Disjoint union of 80: past inline capacity.
@@ -209,8 +209,8 @@ TEST(ModelKernel, MixMatchesReferenceBitForBit) {
   }
 }
 
-// Probabilities one ulp apart collapse to a tie once scaled, which the
-// merge path must order by token.
+// Probabilities one ulp apart collapse to a tie once scaled, which Mix
+// must order by token.
 TEST(ModelKernel, MixOrdersTiesCreatedByScaling) {
   Rng rng(7);
   for (int rep = 0; rep < 200; ++rep) {
