@@ -156,13 +156,14 @@ int main(int argc, char** argv) {
       exp.RealTraceWorkload(opts.duration, opts.rps, mix, opts.seed);
 
   auto scheduler = MakeScheduler(it->second);
+  // The run keeps its finished request records (retire_finished is off)
+  // for --requests-csv; the log collects the per-tick breakdown for
+  // --iterations-csv.
+  IterationLog log;
   EngineConfig engine;
   engine.mode = opts.greedy ? DecodeMode::kGreedy : DecodeMode::kStochastic;
-  // Keep the finished request records for the CSV dump: rerun through a raw
-  // engine is unnecessary — Experiment::Run already computes everything we
-  // print; per-request CSVs need the pool, so re-simulate through Engine.
-  Engine raw(&exp.target(), &exp.draft(), &exp.target_latency(), &exp.draft_latency(), engine);
-  const EngineResult result = raw.Run(*scheduler, workload);
+  engine.trace_sink = &log;
+  const EngineResult result = exp.Run(*scheduler, workload, engine);
 
   std::cout << "system=" << SystemName(it->second) << " model=" << exp.setup().label
             << " requests=" << workload.size() << "\n";
@@ -183,8 +184,8 @@ int main(int argc, char** argv) {
 
   if (!opts.iterations_csv.empty()) {
     std::ofstream os(opts.iterations_csv);
-    WriteIterationCsv(os, result.iterations);
-    std::cout << "wrote " << result.iterations.size() << " iterations to "
+    WriteIterationCsv(os, log.records());
+    std::cout << "wrote " << log.records().size() << " iterations to "
               << opts.iterations_csv << "\n";
   }
   if (!opts.requests_csv.empty()) {

@@ -25,10 +25,8 @@ int main() {
   std::cout << "Copilot burst scenario: " << workload.size()
             << " requests; copilot burst peaks at t=30 s\n\n";
 
-  AdaServeScheduler scheduler;
-  const EngineResult result = exp.Run(scheduler, workload);
-
-  // Timeline: bucket iteration records into 5-second intervals.
+  // Timeline: bucket each tick into its 5-second interval by the tick's
+  // start time, so idle gaps between ticks do not shift later buckets.
   constexpr double kBucket = 5.0;
   struct Interval {
     double time_sum = 0.0;
@@ -37,17 +35,31 @@ int main() {
     long verified = 0;
     int batch_sum = 0;
   };
-  std::vector<Interval> timeline(static_cast<size_t>(result.end_time / kBucket) + 1);
-  SimTime t = 0.0;
-  for (const IterationRecord& rec : result.iterations) {
-    Interval& iv = timeline[static_cast<size_t>(t / kBucket)];
-    iv.time_sum += rec.duration;
-    ++iv.iterations;
-    iv.committed += rec.committed_tokens;
-    iv.verified += rec.verified_tokens;
-    iv.batch_sum += rec.decode_requests;
-    t += rec.duration;
-  }
+  class TimelineSink final : public TickTraceSink {
+   public:
+    void OnArrival(const Request& /*request*/) override {}
+    void OnTick(const TickTraceEvent& event) override {
+      const size_t bucket = static_cast<size_t>(event.start / kBucket);
+      if (bucket >= timeline.size()) {
+        timeline.resize(bucket + 1);
+      }
+      Interval& iv = timeline[bucket];
+      iv.time_sum += event.record.duration;
+      ++iv.iterations;
+      iv.committed += event.record.committed_tokens;
+      iv.verified += event.record.verified_tokens;
+      iv.batch_sum += event.record.decode_requests;
+    }
+    std::vector<Interval> timeline;
+  };
+
+  AdaServeScheduler scheduler;
+  TimelineSink sink;
+  EngineConfig engine;
+  engine.trace_sink = &sink;
+  const EngineResult result = exp.Run(scheduler, workload, engine);
+  const std::vector<Interval>& timeline = sink.timeline;
+
   TablePrinter table({"t(s)", "iters", "avg batch", "avg iter(ms)", "tok/s committed",
                       "spec tokens/iter"});
   for (size_t i = 0; i < timeline.size(); ++i) {

@@ -125,7 +125,6 @@ ClusterResult Cluster::RunPartitioned(SystemKind system,
     replica.routed = routed_counts[i];
     replica.wall_clock_s = runs[i].wall_clock_s;
     replica.result = std::move(runs[i].result);
-    result.end_time = std::max(result.end_time, replica.result.end_time);
     per_replica.push_back(replica.result.metrics);
     result.replicas.push_back(std::move(replica));
   }

@@ -67,9 +67,9 @@ struct ReplicaRunResult {
 struct ClusterResult {
   // Replica order (== ClusterConfig::replicas order).
   std::vector<ReplicaRunResult> replicas;
+  // metrics.merged.makespan is the fleet-wide end of run (max replica
+  // makespan).
   ClusterMetrics metrics;
-  // Fleet-wide end of run: max replica end time.
-  SimTime end_time = 0.0;
   // Wall-clock seconds of the whole cluster run (partition + replicas).
   double wall_clock_s = 0.0;
 

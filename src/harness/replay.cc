@@ -193,11 +193,9 @@ std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
   os << "setup: " << artifact.setup_id << "\n";
   os << "label: " << artifact.label << "\n";
   const EngineConfig& e = artifact.engine;
-  os << "engine.max_iterations: " << e.max_iterations << "\n";
   os << "engine.sampling_seed: " << e.sampling_seed << "\n";
   os << "engine.mode: " << static_cast<int>(e.mode) << "\n";
   os << "engine.arrival_horizon: " << e.arrival_horizon << "\n";
-  os << "engine.record_iterations: " << (e.record_iterations ? 1 : 0) << "\n";
   os << "engine.retire_finished: " << (e.retire_finished ? 1 : 0) << "\n";
   os << "tick.max_active: " << e.tick.max_active << "\n";
   os << "tick.prefill_burst: " << e.tick.prefill_burst << "\n";
@@ -208,7 +206,6 @@ std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
              ? static_cast<int>(*e.tick.admission_priority)
              : -1)
      << "\n";
-  os << "tick.event_driven: " << (e.tick.event_driven ? 1 : 0) << "\n";
   os << "verify_budget: " << artifact.verify_budget << "\n";
 
   os << "arrivals: " << artifact.arrivals.size() << "\n";
@@ -278,7 +275,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
   int priority = -1;
   uint64_t sampling_seed = 0;
   std::string seed_text;
-  if (!ReadKeyedLong(in, "engine.max_iterations", &e.max_iterations, error)) return false;
   if (!ReadKeyed(in, "engine.sampling_seed", &seed_text, error)) return false;
   if (!ParseU64(seed_text, &sampling_seed)) {
     SetError(error, in.line_no, "bad engine.sampling_seed '" + seed_text + "'");
@@ -293,7 +289,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
   }
   e.mode = static_cast<DecodeMode>(mode);
   if (!ReadKeyedInt(in, "engine.arrival_horizon", &e.arrival_horizon, error)) return false;
-  if (!ReadKeyedBool(in, "engine.record_iterations", &e.record_iterations, error)) return false;
   if (!ReadKeyedBool(in, "engine.retire_finished", &e.retire_finished, error)) return false;
   if (!ReadKeyedInt(in, "tick.max_active", &e.tick.max_active, error)) return false;
   if (!ReadKeyedInt(in, "tick.prefill_burst", &e.tick.prefill_burst, error)) return false;
@@ -305,7 +300,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
   }
   e.tick.admission_priority =
       priority < 0 ? std::nullopt : std::optional<PriorityPolicy>(static_cast<PriorityPolicy>(priority));
-  if (!ReadKeyedBool(in, "tick.event_driven", &e.tick.event_driven, error)) return false;
   if (!ReadKeyedInt(in, "verify_budget", &out.verify_budget, error)) return false;
 
   long arrival_count = 0;

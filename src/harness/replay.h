@@ -44,7 +44,9 @@ namespace adaserve {
 // v4: drops the boundary-mode header key along with boundary mode.
 // v5: drops the draft_budget header key; the draft budget is always
 //     derived from the roofline (DeriveDraftBudget).
-inline constexpr int kReplaySchemaVersion = 5;
+// v6: drops the engine.max_iterations, engine.record_iterations and
+//     tick.event_driven header keys along with the options.
+inline constexpr int kReplaySchemaVersion = 6;
 
 // A recorded run, self-contained up to the setup registry: everything
 // needed to re-execute and everything needed to check the re-execution.

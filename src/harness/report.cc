@@ -4,21 +4,6 @@
 
 namespace adaserve {
 
-MetricsCsvWriter::MetricsCsvWriter(std::ostream& os, std::string_view x_name) : os_(os) {
-  os_ << "system," << x_name
-      << ",attainment_pct,goodput_tps,throughput_tps,mean_accepted,cat1_pct,cat2_pct,cat3_pct,"
-         "makespan_s\n";
-}
-
-void MetricsCsvWriter::AddRow(std::string_view system, double x, const Metrics& metrics) {
-  os_ << system << ',' << x << ',' << metrics.AttainmentPct() << ',' << metrics.GoodputTps()
-      << ',' << metrics.ThroughputTps() << ',' << metrics.mean_accepted;
-  for (const CategoryMetrics& cat : metrics.per_category) {
-    os_ << ',' << cat.AttainmentPct();
-  }
-  os_ << ',' << metrics.makespan << '\n';
-}
-
 void WriteRequestCsv(std::ostream& os, std::span<const Request> requests) {
   os << "id,category,arrival_s,prompt_len,output_len,tpot_slo_ms,avg_tpot_ms,ttft_ms,attained,"
         "verifications,accepted_tokens,verified_tokens\n";

@@ -5,6 +5,12 @@
 #include "src/common/logging.h"
 
 namespace adaserve {
+namespace {
+
+// Safety valve: abort a run that exceeds this many loop iterations.
+constexpr long kMaxIterations = 50'000'000;
+
+}  // namespace
 
 Engine::Engine(const SyntheticLm* target, const DraftLm* draft, const LatencyModel* target_latency,
                const LatencyModel* draft_latency, const EngineConfig& config)
@@ -81,32 +87,21 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
   long iterations = 0;
   long traced_ticks = 0;
   while (!stream.Exhausted() || pool.HasWork()) {
-    ADASERVE_CHECK(++iterations <= config_.max_iterations) << "iteration budget exhausted";
+    ADASERVE_CHECK(++iterations <= kMaxIterations) << "iteration budget exhausted";
     pull_arrivals(now);
-    if (ctx.tick.event_driven && !pool.HasWork()) {
-      // Next-event skip: with nothing queued and nothing active a tick
-      // cannot change state, so the earliest event is the next arrival —
-      // jump the clock there in one step. The loop condition plus the
-      // empty pool guarantee the stream still has requests, and the pull
-      // loop above guarantees that arrival is strictly in the future.
-      now = stream.Peek()->arrival;
-      continue;
-    }
     const TickResult tick = scheduler.Tick(now, pool, ctx);
     result.peak_resident_requests = std::max(result.peak_resident_requests, pool.resident_count());
     if (!tick.MadeProgress()) {
       // A no-progress tick may still have *rejected* work (admission
       // control refusing an entire backlog consumes no simulated time);
-      // keep its counters so Metrics::rejections stays exact.
+      // keep its counters so Metrics::rejections stays exact. It is not a
+      // tick to the trace sink.
       if (tick.record.rejected > 0 || tick.record.degraded > 0) {
         acc.AddIteration(tick.record);
-        if (config_.record_iterations) {
-          result.iterations.push_back(tick.record);
-        }
       }
-      // Nothing was admissible and nothing ran. Either the queue is empty
-      // (idle until the next arrival) or admission is blocked, which
-      // cannot happen with an empty active set given worst-case
+      // Nothing was admissible and nothing ran. Either the pool is idle
+      // (jump the clock to the next arrival) or admission is blocked,
+      // which cannot happen with an empty active set given worst-case
       // reservations.
       ADASERVE_CHECK(pool.active().empty()) << scheduler.name() << " made no progress";
       ADASERVE_CHECK(pool.queued().empty()) << "admission deadlock";
@@ -130,14 +125,10 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
     }
     now += tick.record.duration;
     acc.AddIteration(tick.record);
-    if (config_.record_iterations) {
-      result.iterations.push_back(tick.record);
-    }
     if (config_.retire_finished) {
       pool.RetireFinishedPrefix(retire_sink);
     }
   }
-  result.end_time = now;
   result.total_iterations = iterations;
   if (config_.retire_finished) {
     pool.RetireFinishedPrefix(retire_sink);

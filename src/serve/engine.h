@@ -3,10 +3,12 @@
 // The engine replays an arrival trace against a scheduler: it pulls
 // arrivals whose time has come from an ArrivalStream, hands the scheduler
 // one Tick (the tick itself admits, decodes, admits again mid-tick, and
-// prefills), advances the clock by the
-// tick's duration, and repeats until the stream is exhausted and every
-// request finishes. It is the execution-engine half of Fig. 6 with GPU
-// time supplied by the roofline model; all policy lives in the tick.
+// prefills), advances the clock by the tick's duration — or, when the
+// tick could not run anything, straight to the next arrival — and repeats
+// until the stream is exhausted and every request finishes. It is the
+// execution-engine half of Fig. 6 with GPU time supplied by the roofline
+// model; all policy lives in the tick. Per-tick records reach callers only
+// through a TickTraceSink.
 //
 // Arrivals are consumed lazily: at most tick.max_active +
 // arrival_horizon requests are pulled ahead of admission, so a
@@ -34,8 +36,8 @@ namespace adaserve {
 // many arrivals were pulled from the stream for this tick (boundary pull
 // plus mid-tick pulls).
 struct TickTraceEvent {
-  // 0-based index over progressing ticks (non-progress probes and
-  // event-driven skips do not consume an index).
+  // 0-based index over progressing ticks (idle probes and rejection-only
+  // ticks, which consume no simulated time, do not consume an index).
   long index = 0;
   // Simulated clock at tick start.
   SimTime start = 0.0;
@@ -48,8 +50,9 @@ struct TickTraceEvent {
 // trace_sink; the engine reports every arrival it pulls (in pull order,
 // the request still in its immutable arrival state) and every progressing
 // tick. Callbacks run synchronously on the engine loop — implementations
-// must not re-enter the engine. The record/replay harness
-// (src/harness/replay.h) is the canonical consumer.
+// must not re-enter the engine. This is the only way per-tick records
+// leave a run: the record/replay harness (src/harness/replay.h) and
+// IterationLog below are its consumers.
 class TickTraceSink {
  public:
   virtual ~TickTraceSink() = default;
@@ -58,9 +61,23 @@ class TickTraceSink {
   virtual void OnTick(const TickTraceEvent& event) = 0;
 };
 
+// The per-tick log: every progressing tick's IterationRecord, in
+// execution order. Attach it as EngineConfig::trace_sink when a caller
+// wants the breakdown (the iteration CSV, per-tick test invariants).
+// Admission-control rejections that consume no simulated time are not
+// ticks here; Metrics::rejections still counts them.
+class IterationLog final : public TickTraceSink {
+ public:
+  void OnArrival(const Request& /*request*/) override {}
+  void OnTick(const TickTraceEvent& event) override { records_.push_back(event.record); }
+
+  const std::vector<IterationRecord>& records() const { return records_; }
+
+ private:
+  std::vector<IterationRecord> records_;
+};
+
 struct EngineConfig {
-  // Safety valve: abort if an experiment exceeds this many iterations.
-  long max_iterations = 50'000'000;
   uint64_t sampling_seed = 1234;
   DecodeMode mode = DecodeMode::kStochastic;
   // Queued arrivals pulled from the stream beyond what admission can
@@ -72,35 +89,31 @@ struct EngineConfig {
   // urgent arrival beyond the horizon cannot jump the queue until the
   // backlog ahead of it is pulled.
   int arrival_horizon = 256;
-  // Keep the per-iteration log in EngineResult::iterations. Turn off for
-  // huge streaming runs; metrics aggregate the log either way.
-  bool record_iterations = true;
   // Retire finished requests as the run progresses: their metrics are
   // accumulated incrementally, their token payloads are freed at finish,
   // and EngineResult::requests is left empty. Metrics are bit-identical
   // to a non-retiring run.
   bool retire_finished = false;
   // The unified tick policy (scheduler.h): every tick-shaped serving knob
-  // — slot cap, prefill burst, eviction budget, admission priority,
-  // event-driven clock — in one struct.
+  // — slot cap, prefill burst, eviction budget, admission priority — in
+  // one struct.
   // Engine::Run resolves it (TickPolicy::ResolvedFor) and hands it to the
   // scheduler through ServingContext unchanged.
   TickPolicy tick;
-  // Optional run observer (record/replay): receives every pulled arrival
-  // and every progressing tick. Non-owning; must outlive the run. Purely
-  // observational — a run with a sink is byte-identical to one without.
+  // Optional run observer (RunRecorder, IterationLog): receives every
+  // pulled arrival and every progressing tick. Non-owning; must outlive
+  // the run. Purely observational — a run with a sink is byte-identical
+  // to one without.
   TickTraceSink* trace_sink = nullptr;
 };
 
 struct EngineResult {
+  // metrics.makespan is the run's end time.
   Metrics metrics;
-  // Per-iteration log; empty when EngineConfig::record_iterations is off.
-  std::vector<IterationRecord> iterations;
   // Final per-request records (timestamps, outputs, speculation counters).
   // Empty when EngineConfig::retire_finished is on.
   std::vector<Request> requests;
-  SimTime end_time = 0.0;
-  // Iterations executed (valid even when the log is not recorded).
+  // Engine loop iterations executed: progressing ticks plus idle probes.
   long total_iterations = 0;
   // Peak number of requests resident in the pool at once — the O(active)
   // memory guarantee for streaming runs.

@@ -74,10 +74,6 @@ struct TickPolicy {
   // evict-for-admission. Unset defers to the scheduler's own
   // AdmissionPriority() default (ResolvedFor fills it in).
   std::optional<PriorityPolicy> admission_priority;
-  // Next-event scheduling: when the pool is provably inert, the engine
-  // advances the clock straight to the next arrival instead of probing
-  // every gap. Byte-identical either way; see engine.h.
-  bool event_driven = true;
 
   // The policy both admission phases actually rank by (kFifo until
   // resolved or explicitly set).
@@ -129,6 +125,8 @@ struct IterationRecord {
   int paused = 0;            // requests paused (progress-preserving) this tick
   int rejected = 0;          // requests rejected by admission control this tick
   int degraded = 0;          // requests SLO-degraded by admission control this tick
+
+  friend bool operator==(const IterationRecord&, const IterationRecord&) = default;
 };
 
 // Result of one scheduler tick.

@@ -87,7 +87,7 @@ std::unique_ptr<ArrivalStream> MakeFlashCrowdStream(const std::vector<CategorySp
 // the flash-crowd backlog without further violations scores 0 and slower
 // drains score monotonically worse. `requests` are a run's requests
 // (EngineResult::requests with retire_finished off) and `makespan` the
-// run's end time (EngineResult::end_time).
+// run's end time (EngineResult::metrics.makespan).
 double RecoveryTimeToSlo(std::span<const Request> requests, const FlashCrowdSpec& spec,
                          SimTime makespan);
 

@@ -28,8 +28,8 @@ TEST_F(AdaServeSchedulerTest, TickNativeDecodePhaseRespectsBudget) {
   AdaServeScheduler scheduler;
   const std::vector<Request> workload = SmallMixedWorkload(exp_, /*duration=*/10.0, /*rps=*/4.0);
   const int budget = 64;
-  const EngineResult result = exp_.Run(scheduler, workload, {}, budget);
-  for (const IterationRecord& rec : result.iterations) {
+  const LoggedRun run = RunLogged(exp_, scheduler, workload, {}, budget);
+  for (const IterationRecord& rec : run.ticks) {
     if (rec.verified_tokens > 0) {
       EXPECT_LE(rec.decode_requests + rec.verified_tokens, budget)
           << "speculation overflowed the budget";
@@ -40,9 +40,9 @@ TEST_F(AdaServeSchedulerTest, TickNativeDecodePhaseRespectsBudget) {
 TEST_F(AdaServeSchedulerTest, BreakdownFieldsPopulated) {
   AdaServeScheduler scheduler;
   const std::vector<Request> workload = UniformWorkload(exp_, 4, kCatChat, 0.0);
-  const EngineResult result = exp_.Run(scheduler, workload);
+  const LoggedRun run = RunLogged(exp_, scheduler, workload);
   bool saw_decode_iteration = false;
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     if (rec.verified_tokens > 0) {
       saw_decode_iteration = true;
       EXPECT_GT(rec.spec_time, 0.0);
@@ -126,15 +126,14 @@ TEST_F(AdaServeSchedulerTest, PrefillOnlyWorkloadCompletes) {
 TEST_F(AdaServeSchedulerTest, SpeculationBookkeepingConsistent) {
   AdaServeScheduler scheduler;
   const std::vector<Request> workload = UniformWorkload(exp_, 4, kCatChat, 0.0);
-  Engine engine(&exp_.target(), &exp_.draft(), &exp_.target_latency(), &exp_.draft_latency());
-  const EngineResult result = exp_.Run(scheduler, workload);
+  const LoggedRun run = RunLogged(exp_, scheduler, workload);
   long committed = 0;
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     EXPECT_GE(rec.verified_tokens, 0);
     EXPECT_GE(rec.committed_tokens, 0);
     committed += rec.committed_tokens;
   }
-  EXPECT_EQ(committed, result.metrics.output_tokens());
+  EXPECT_EQ(committed, run.result.metrics.output_tokens());
 }
 
 TEST_F(AdaServeSchedulerTest, NmaxOneStillDrains) {

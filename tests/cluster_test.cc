@@ -211,7 +211,7 @@ TEST(Cluster, SingleReplicaMatchesBareEngine) {
 
   EXPECT_EQ(GoldenMetricsText(SystemKind::kAdaServe, via_cluster.metrics.merged),
             GoldenMetricsText(SystemKind::kAdaServe, bare.metrics));
-  EXPECT_EQ(via_cluster.end_time, bare.end_time);
+  EXPECT_EQ(via_cluster.metrics.merged.makespan, bare.metrics.makespan);
 }
 
 TEST(Cluster, MergedMetricsSumPerReplicaCounters) {

@@ -4,7 +4,6 @@
 
 #include <cctype>
 
-#include "src/harness/golden.h"
 #include "tests/test_util.h"
 
 namespace adaserve {
@@ -27,7 +26,7 @@ TEST_F(EngineTest, MakespanCoversTrace) {
   VllmScheduler scheduler;
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
   const EngineResult result = exp_.Run(scheduler, workload);
-  EXPECT_GE(result.end_time, workload.back().arrival);
+  EXPECT_GE(result.metrics.makespan, workload.back().arrival);
 }
 
 TEST_F(EngineTest, DeterministicAcrossRuns) {
@@ -36,21 +35,21 @@ TEST_F(EngineTest, DeterministicAcrossRuns) {
   VllmScheduler s2;
   const EngineResult a = exp_.Run(s1, workload);
   const EngineResult b = exp_.Run(s2, workload);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.iterations.size(), b.iterations.size());
+  EXPECT_EQ(a.metrics.makespan, b.metrics.makespan);
+  EXPECT_EQ(a.total_iterations, b.total_iterations);
   EXPECT_EQ(a.metrics.GoodputTps(), b.metrics.GoodputTps());
 }
 
 TEST_F(EngineTest, IterationDurationsPositiveAndSumToMakespanMinusIdle) {
   AdaServeScheduler scheduler;
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  const EngineResult result = exp_.Run(scheduler, workload);
+  const LoggedRun run = RunLogged(exp_, scheduler, workload);
   SimTime busy = 0.0;
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     EXPECT_GT(rec.duration, 0.0);
     busy += rec.duration;
   }
-  EXPECT_LE(busy, result.end_time + 1e-9);
+  EXPECT_LE(busy, run.result.metrics.makespan + 1e-9);
 }
 
 TEST_F(EngineTest, TokenTimesMonotonePerRequest) {
@@ -86,7 +85,7 @@ TEST_F(EngineTest, GreedyModeIsDeterministicAcrossSamplingSeeds) {
   VllmScheduler s2;
   const EngineResult a = exp_.Run(s1, workload, config_a);
   const EngineResult b = exp_.Run(s2, workload, config_b);
-  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.metrics.makespan, b.metrics.makespan);
 }
 
 TEST_F(EngineTest, IdleGapsSkippedToNextArrival) {
@@ -95,8 +94,8 @@ TEST_F(EngineTest, IdleGapsSkippedToNextArrival) {
   workload[1].arrival = 100.0;
   VllmScheduler scheduler;
   const EngineResult result = exp_.Run(scheduler, workload);
-  EXPECT_GE(result.end_time, 100.0);
-  EXPECT_LT(result.iterations.size(), 500u);  // no busy-waiting
+  EXPECT_GE(result.metrics.makespan, 100.0);
+  EXPECT_LT(result.total_iterations, 500);  // no busy-waiting
 }
 
 // A category table with fixed tiny lengths: scale tests stress request
@@ -126,13 +125,14 @@ TEST_F(EngineTest, BurstyBackpressureNeverExceedsAdmissionCapOrDropsRequests) {
   engine.arrival_horizon = 16;
   engine.retire_finished = true;
   VllmScheduler scheduler;
-  const EngineResult result = exp_.Run(scheduler, *stream, engine);
+  const LoggedRun run = RunLogged(exp_, scheduler, *stream, engine);
+  const EngineResult& result = run.result;
 
   // No request dropped: everything the generator emitted finished.
   EXPECT_EQ(result.metrics.finished, static_cast<int>(stream->emitted()));
   EXPECT_GT(result.metrics.finished, 300) << "burst too small to stress admission";
   // Admission never exceeds the cap.
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     EXPECT_LE(rec.decode_requests, engine.tick.max_active);
   }
   // Residency stays near cap + horizon even though arrivals outpace
@@ -156,7 +156,6 @@ TEST_F(EngineTest, SmokeScale100kPeakResidencyStaysNearActiveSet) {
   engine.tick.max_active = 64;
   engine.arrival_horizon = 64;
   engine.retire_finished = true;
-  engine.record_iterations = false;
   VllmScheduler scheduler;
   const EngineResult result = exp_.Run(scheduler, *stream, engine);
 
@@ -172,15 +171,15 @@ TEST_F(EngineTest, SmokeScale100kPeakResidencyStaysNearActiveSet) {
 TEST_F(EngineTest, MetricsBreakdownMatchesIterationLog) {
   AdaServeScheduler scheduler;
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  const EngineResult result = exp_.Run(scheduler, workload);
+  const LoggedRun run = RunLogged(exp_, scheduler, workload);
   SimTime spec = 0.0;
   SimTime verify = 0.0;
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     spec += rec.spec_time;
     verify += rec.verify_time;
   }
-  EXPECT_NEAR(result.metrics.spec_time, spec, 1e-9);
-  EXPECT_NEAR(result.metrics.verify_time, verify, 1e-9);
+  EXPECT_NEAR(run.result.metrics.spec_time, spec, 1e-9);
+  EXPECT_NEAR(run.result.metrics.verify_time, verify, 1e-9);
 }
 
 // Every system of the main comparison, under the default config, drains
@@ -196,11 +195,12 @@ TEST_P(EngineSystemTest, ContinuousTicksDrainEverythingAndCountAdmissions) {
 
   auto scheduler = MakeScheduler(GetParam());
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  const EngineResult result = exp_.Run(*scheduler, workload);
+  const LoggedRun run = RunLogged(exp_, *scheduler, workload);
+  const EngineResult& result = run.result;
   EXPECT_EQ(result.metrics.finished, static_cast<int>(workload.size()));
   EXPECT_EQ(result.metrics.admissions,
             static_cast<long>(workload.size()) + result.metrics.evictions);
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     EXPECT_GT(rec.duration, 0.0);
   }
   for (const Request& req : result.requests) {
@@ -228,7 +228,7 @@ TEST_F(EngineTest, ContinuousTicksAreDeterministic) {
   AdaServeScheduler s2;
   const EngineResult a = exp_.Run(s1, workload);
   const EngineResult b = exp_.Run(s2, workload);
-  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.metrics.makespan, b.metrics.makespan);
   EXPECT_EQ(a.total_iterations, b.total_iterations);
   EXPECT_EQ(a.metrics.GoodputTps(), b.metrics.GoodputTps());
 }
@@ -244,11 +244,12 @@ TEST_F(EngineTest, ContinuousTicksAdmitLateArrivalsBeforeLongPromptFinishesPrefi
   workload[1].arrival = 0.005;
 
   VllmScheduler scheduler;
-  const EngineResult result = exp_.Run(scheduler, workload);
+  const LoggedRun run = RunLogged(exp_, scheduler, workload);
+  const EngineResult& result = run.result;
   ASSERT_EQ(result.metrics.finished, 2);
-  ASSERT_GE(result.iterations.size(), 2u);
-  const IterationRecord& first = result.iterations[0];
-  const IterationRecord& second = result.iterations[1];
+  ASSERT_GE(run.ticks.size(), 2u);
+  const IterationRecord& first = run.ticks[0];
+  const IterationRecord& second = run.ticks[1];
   EXPECT_EQ(first.admitted, 1);
   EXPECT_EQ(first.prefill_tokens, kBurst);
   EXPECT_GT(first.duration, workload[1].arrival);
@@ -263,7 +264,6 @@ TEST_F(EngineTest, ContinuousStreamingRunRetiresAndMatchesVectorPath) {
   // and vector-fed runs of the same trace stay bit-identical.
   EngineConfig engine;
   engine.retire_finished = true;
-  engine.record_iterations = false;
   VllmSpecScheduler s1(VllmSpecConfig{.spec_len = 4});
   auto stream = exp_.RealTraceStream(8.0, 3.0, WorkloadConfig{.mix = {0.4, 0.3, 0.3}});
   const EngineResult streamed = exp_.Run(s1, *stream, engine);
@@ -272,37 +272,14 @@ TEST_F(EngineTest, ContinuousStreamingRunRetiresAndMatchesVectorPath) {
   const EngineResult vector_fed = exp_.Run(s2, SmallMixedWorkload(exp_));
   EXPECT_EQ(streamed.metrics.finished, vector_fed.metrics.finished);
   EXPECT_EQ(streamed.metrics.GoodputTps(), vector_fed.metrics.GoodputTps());
-  EXPECT_EQ(streamed.end_time, vector_fed.end_time);
+  EXPECT_EQ(streamed.metrics.makespan, vector_fed.metrics.makespan);
   EXPECT_TRUE(streamed.requests.empty());
 }
 
-TEST_F(EngineTest, NextEventSkipMatchesPerTickLoopByteForByte) {
-  // Sparse arrivals (one request every ~2.5 s) maximize idle gaps, the
-  // next-event skip's whole domain. Everything observable must match the
-  // probe-every-gap loop exactly, including the iteration count: an idle
-  // gap costs one loop iteration either way.
-  const std::vector<Request> workload = UniformWorkload(exp_, 12, 1, 30.0);
-  EngineConfig per_tick;
-  per_tick.tick.event_driven = false;
-  const EngineConfig event_driven;  // Default: event_driven = true.
-
-  AdaServeScheduler s1;
-  AdaServeScheduler s2;
-  const EngineResult a = exp_.Run(s1, workload, per_tick);
-  const EngineResult b = exp_.Run(s2, workload, event_driven);
-
-  EXPECT_EQ(GoldenMetricsText(SystemKind::kAdaServe, a.metrics),
-            GoldenMetricsText(SystemKind::kAdaServe, b.metrics));
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.total_iterations, b.total_iterations);
-  EXPECT_EQ(a.peak_resident_requests, b.peak_resident_requests);
-  EXPECT_EQ(a.iterations.size(), b.iterations.size());
-}
-
 TEST_F(EngineTest, SkipTargetArrivalIsServedImmediately) {
-  // Two bursts separated by a long gap: the skip lands the clock exactly
-  // on the second burst's first arrival, which must be pulled and served
-  // on that very iteration (no off-by-one past the skip target).
+  // Two bursts separated by a long gap: the idle jump lands the clock
+  // exactly on the second burst's first arrival, which must be pulled and
+  // served on the very next iteration (no off-by-one past the target).
   std::vector<Request> workload = UniformWorkload(exp_, 2, 1, 0.5);
   Request late;
   late.id = 2;

@@ -87,7 +87,7 @@ TEST_F(IntegrationTest, StochasticRunsAreSeedReproducible) {
   const EngineResult b = exp_.Run(s2, workload);
   EXPECT_EQ(a.metrics.AttainmentPct(), b.metrics.AttainmentPct());
   EXPECT_EQ(a.metrics.mean_accepted, b.metrics.mean_accepted);
-  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.metrics.makespan, b.metrics.makespan);
 }
 
 TEST_F(IntegrationTest, BothTable1SetupsServeEndToEnd) {

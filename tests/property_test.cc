@@ -204,7 +204,7 @@ TEST(FlashCrowdProperties, RecoveryTimeMonotoneInOverloadMagnitude) {
     auto stream = MakeFlashCrowdStream(exp.Categories(), spec);
     auto scheduler = MakeScheduler(SystemKind::kAdaServe);
     const EngineResult result = exp.Run(*scheduler, *stream);
-    const double recovery = RecoveryTimeToSlo(result.requests, spec, result.end_time);
+    const double recovery = RecoveryTimeToSlo(result.requests, spec, result.metrics.makespan);
     EXPECT_GE(recovery, 0.0);
     EXPECT_GE(recovery, prev_recovery)
         << "magnitude " << magnitude << " recovered faster than a smaller crowd";

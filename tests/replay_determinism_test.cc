@@ -37,6 +37,35 @@ TEST_P(ReplayDeterminismTest, TickNativeRecordReplayByteIdentical) {
   EXPECT_EQ(outcome.metrics_text, run.artifact.metrics_text);
 }
 
+// An IterationLog is as passive as the recorder and sees exactly the
+// ticks it records: on the golden real-trace and flash-crowd cells the
+// logged run matches the sink-free run, and the log equals the artifact's
+// tick records.
+TEST_P(ReplayDeterminismTest, IterationLogIsPassiveAndMatchesRecordedTicks) {
+  const SystemKind kind = GetParam();
+  for (const GoldenScenario scenario :
+       {GoldenScenario::kRealTrace, GoldenScenario::kFlashCrowd}) {
+    const GoldenCell golden{kind, scenario};
+    SCOPED_TRACE(golden.Filename());
+    const EngineResult bare = RunCell(MakeGoldenCell(golden));
+
+    IterationLog log;
+    Cell logged_cell = MakeGoldenCell(golden);
+    logged_cell.engine.trace_sink = &log;
+    const EngineResult logged = RunCell(logged_cell);
+    EXPECT_EQ(GoldenMetricsText(kind, logged.metrics), GoldenMetricsText(kind, bare.metrics));
+    EXPECT_EQ(logged.total_iterations, bare.total_iterations);
+    EXPECT_EQ(logged.peak_resident_requests, bare.peak_resident_requests);
+
+    const RecordedRun recorded = RecordGoldenRun(golden);
+    ASSERT_FALSE(log.records().empty());
+    ASSERT_EQ(log.records().size(), recorded.artifact.ticks.size());
+    for (size_t i = 0; i < log.records().size(); ++i) {
+      EXPECT_TRUE(log.records()[i] == recorded.artifact.ticks[i].record) << "tick " << i;
+    }
+  }
+}
+
 // The streaming path (lazy stream, bounded horizon, finished-request
 // retirement) records and replays identically too.
 TEST_P(ReplayDeterminismTest, StreamingRecordReplayByteIdentical) {
@@ -120,14 +149,15 @@ TEST(ReplayArtifactTest, TruncationAndVersionMismatchAreParseErrors) {
   EXPECT_FALSE(ParseReplayArtifact(future, &parsed, &error));
   EXPECT_NE(error.find("unsupported replay schema"), std::string::npos) << error;
 
-  // Schema 4 (the last one with the draft_budget header key) is refused
+  // Schema 5 (the last one with the engine.max_iterations,
+  // engine.record_iterations and tick.event_driven header keys) is refused
   // by version rather than misparsed.
-  ASSERT_EQ(kReplaySchemaVersion, 5);
-  std::string v4 = text;
-  v4.replace(0, header.size(), "adaserve_replay_schema: 4");
+  ASSERT_EQ(kReplaySchemaVersion, 6);
+  std::string v5 = text;
+  v5.replace(0, header.size(), "adaserve_replay_schema: 5");
   error.clear();
-  EXPECT_FALSE(ParseReplayArtifact(v4, &parsed, &error));
-  EXPECT_NE(error.find("unsupported replay schema 4"), std::string::npos) << error;
+  EXPECT_FALSE(ParseReplayArtifact(v5, &parsed, &error));
+  EXPECT_NE(error.find("unsupported replay schema 5"), std::string::npos) << error;
 }
 
 // A single flipped bit in a recorded tick is caught, and the divergence

@@ -31,18 +31,6 @@ class ReportTest : public ::testing::Test {
   Experiment exp_;
 };
 
-TEST_F(ReportTest, MetricsCsvHasHeaderAndRows) {
-  const EngineResult result = RunSmall();
-  std::ostringstream os;
-  MetricsCsvWriter writer(os, "rps");
-  writer.AddRow("AdaServe", 4.0, result.metrics);
-  writer.AddRow("vLLM", 4.0, result.metrics);
-  const std::string csv = os.str();
-  EXPECT_EQ(CountLines(csv), 3u);
-  EXPECT_NE(csv.find("system,rps,attainment_pct"), std::string::npos);
-  EXPECT_NE(csv.find("AdaServe,4,"), std::string::npos);
-}
-
 TEST_F(ReportTest, RequestCsvOneRowPerRequest) {
   const EngineResult result = RunSmall();
   std::ostringstream os;
@@ -52,10 +40,12 @@ TEST_F(ReportTest, RequestCsvOneRowPerRequest) {
 }
 
 TEST_F(ReportTest, IterationCsvOneRowPerIteration) {
-  const EngineResult result = RunSmall();
+  AdaServeScheduler scheduler;
+  const LoggedRun run = RunLogged(exp_, scheduler, UniformWorkload(exp_, 3, kCatChat, 0.1));
+  ASSERT_FALSE(run.ticks.empty());
   std::ostringstream os;
-  WriteIterationCsv(os, result.iterations);
-  EXPECT_EQ(CountLines(os.str()), 1u + result.iterations.size());
+  WriteIterationCsv(os, run.ticks);
+  EXPECT_EQ(CountLines(os.str()), 1u + run.ticks.size());
 }
 
 TEST_F(ReportTest, EngineResultCarriesFinishedRequests) {

@@ -100,7 +100,7 @@ Experiment* StreamingEquivalence::exp_ = nullptr;
 
 // Lazy stream — borrowed, or owned by the WorkloadSource as a sweep
 // cell's workload factory hands it over — vs the same trace materialized
-// up front: identical metrics, iteration log, and per-request records.
+// up front: identical metrics, iteration count, and per-request records.
 TEST_P(StreamingEquivalence, LazyStreamMatchesMaterializedVector) {
   const SystemKind kind = GetParam();
   for (const Scenario& scenario : Scenarios(*exp_)) {
@@ -119,9 +119,7 @@ TEST_P(StreamingEquivalence, LazyStreamMatchesMaterializedVector) {
          {exp_->Run(*borrowed_scheduler, *borrowed),
           exp_->Run(*owned_scheduler, WorkloadSource(scenario.make()))}) {
       ExpectMetricsBitIdentical(vec_run.metrics, stream_run.metrics);
-      EXPECT_EQ(vec_run.end_time, stream_run.end_time);
       EXPECT_EQ(vec_run.total_iterations, stream_run.total_iterations);
-      ASSERT_EQ(vec_run.iterations.size(), stream_run.iterations.size());
       ASSERT_EQ(vec_run.requests.size(), stream_run.requests.size());
       EXPECT_EQ(stream_run.requests.size(), trace.size());
       for (size_t i = 0; i < vec_run.requests.size(); ++i) {
@@ -135,8 +133,8 @@ TEST_P(StreamingEquivalence, LazyStreamMatchesMaterializedVector) {
   }
 }
 
-// The O(active)-memory configuration (retire finished requests, no
-// iteration log) must not change a single metric bit.
+// The O(active)-memory configuration (retire finished requests) must not
+// change a single metric bit.
 TEST_P(StreamingEquivalence, RetiringRunMetricsBitIdentical) {
   const SystemKind kind = GetParam();
   for (const Scenario& scenario : Scenarios(*exp_)) {
@@ -150,17 +148,14 @@ TEST_P(StreamingEquivalence, RetiringRunMetricsBitIdentical) {
 
     EngineConfig streaming;
     streaming.retire_finished = true;
-    streaming.record_iterations = false;
     auto stream = scenario.make();
     auto stream_scheduler = MakeScheduler(kind);
     const EngineResult stream_run = exp_->Run(*stream_scheduler, *stream, streaming);
 
     ExpectMetricsBitIdentical(vec_run.metrics, stream_run.metrics);
-    EXPECT_EQ(vec_run.end_time, stream_run.end_time);
     EXPECT_EQ(vec_run.total_iterations, stream_run.total_iterations);
-    // The streaming run keeps no per-request or per-iteration state around.
+    // The streaming run keeps no per-request state around.
     EXPECT_TRUE(stream_run.requests.empty());
-    EXPECT_TRUE(stream_run.iterations.empty());
     EXPECT_LE(stream_run.peak_resident_requests, trace.size());
   }
 }
@@ -181,7 +176,7 @@ TEST_P(StreamingEquivalence, MaterializedStreamMatchesVectorOverload) {
   const EngineResult stream_run = exp_->Run(*stream_scheduler, stream);
 
   ExpectMetricsBitIdentical(vec_run.metrics, stream_run.metrics);
-  EXPECT_EQ(vec_run.end_time, stream_run.end_time);
+  EXPECT_EQ(vec_run.total_iterations, stream_run.total_iterations);
 }
 
 std::string ParamName(const ::testing::TestParamInfo<SystemKind>& info) {

@@ -2,6 +2,7 @@
 #ifndef ADASERVE_TESTS_TEST_UTIL_H_
 #define ADASERVE_TESTS_TEST_UTIL_H_
 
+#include <utility>
 #include <vector>
 
 #include "src/adaserve.h"
@@ -40,6 +41,23 @@ inline std::vector<Request> UniformWorkload(const Experiment& exp, int n, int ca
 inline std::vector<Request> SmallMixedWorkload(const Experiment& exp, double duration = 8.0,
                                                double rps = 3.0) {
   return exp.RealTraceWorkload(duration, rps, WorkloadConfig{.mix = {0.4, 0.3, 0.3}});
+}
+
+// One run with an IterationLog attached: the result plus every
+// progressing tick's record, in execution order.
+struct LoggedRun {
+  EngineResult result;
+  std::vector<IterationRecord> ticks;
+};
+
+inline LoggedRun RunLogged(const Experiment& exp, Scheduler& scheduler, WorkloadSource workload,
+                           EngineConfig engine = {}, int verify_budget = 0) {
+  IterationLog log;
+  engine.trace_sink = &log;
+  LoggedRun run;
+  run.result = exp.Run(scheduler, std::move(workload), engine, verify_budget);
+  run.ticks = log.records();
+  return run;
 }
 
 }  // namespace adaserve

@@ -80,8 +80,8 @@ TEST(TestUtil, TestSetupRunsAnEndToEndEngineTick) {
   auto scheduler = MakeScheduler(SystemKind::kAdaServe);
   const EngineResult result = exp.Run(*scheduler, std::move(workload));
   EXPECT_EQ(result.metrics.finished, 4);
-  EXPECT_GT(result.iterations.size(), 0u);
-  EXPECT_GT(result.end_time, 0.0);
+  EXPECT_GT(result.total_iterations, 0);
+  EXPECT_GT(result.metrics.makespan, 0.0);
   for (const Request& req : result.requests) {
     EXPECT_EQ(req.state, RequestState::kFinished);
     EXPECT_EQ(static_cast<int>(req.output.size()), req.target_output_len);

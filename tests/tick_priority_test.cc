@@ -409,9 +409,9 @@ TEST_F(TickEdgeCaseTest, PrefillBurstZeroDrainsEndToEnd) {
   engine.tick.prefill_burst = 0;
   VllmScheduler scheduler;
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  const EngineResult result = exp_.Run(scheduler, workload, engine);
-  EXPECT_EQ(result.metrics.finished, static_cast<int>(workload.size()));
-  for (const IterationRecord& rec : result.iterations) {
+  const LoggedRun run = RunLogged(exp_, scheduler, workload, engine);
+  EXPECT_EQ(run.result.metrics.finished, static_cast<int>(workload.size()));
+  for (const IterationRecord& rec : run.ticks) {
     EXPECT_GT(rec.duration, 0.0);
   }
 }
